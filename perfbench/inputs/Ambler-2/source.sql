@@ -1,0 +1,11 @@
+CREATE TABLE Person (
+    pid INTEGER,
+    firstName VARCHAR(255),
+    lastName VARCHAR(255)
+);
+CREATE TABLE Contact (
+    pid INTEGER,
+    email VARCHAR(255),
+    phone VARCHAR(255),
+    fax VARCHAR(255)
+);

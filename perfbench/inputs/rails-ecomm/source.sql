@@ -1,0 +1,85 @@
+CREATE TABLE "User" (
+    user_id INTEGER PRIMARY KEY,
+    user_name VARCHAR(255),
+    user_title VARCHAR(255),
+    user_body INTEGER,
+    user_email VARCHAR(255),
+    user_status VARCHAR(255),
+    user_price INTEGER,
+    user_quantity VARCHAR(255),
+    user_rating VARCHAR(255)
+);
+CREATE TABLE Post (
+    post_id INTEGER PRIMARY KEY,
+    post_name VARCHAR(255),
+    post_title VARCHAR(255),
+    post_body INTEGER,
+    post_email VARCHAR(255),
+    post_status VARCHAR(255),
+    post_price INTEGER,
+    post_quantity VARCHAR(255),
+    post_rating VARCHAR(255)
+);
+CREATE TABLE Comment (
+    comment_id INTEGER PRIMARY KEY,
+    comment_name VARCHAR(255),
+    comment_title VARCHAR(255),
+    comment_body INTEGER,
+    comment_email VARCHAR(255),
+    comment_status VARCHAR(255),
+    comment_price INTEGER,
+    comment_quantity VARCHAR(255),
+    comment_rating VARCHAR(255)
+);
+CREATE TABLE Photo (
+    photo_id INTEGER PRIMARY KEY,
+    photo_name VARCHAR(255),
+    photo_title VARCHAR(255),
+    photo_body INTEGER,
+    photo_email VARCHAR(255),
+    photo_status VARCHAR(255),
+    photo_price INTEGER,
+    photo_quantity VARCHAR(255),
+    photo_rating VARCHAR(255)
+);
+CREATE TABLE Album (
+    album_id INTEGER PRIMARY KEY,
+    album_name VARCHAR(255),
+    album_title VARCHAR(255),
+    album_body INTEGER,
+    album_email VARCHAR(255),
+    album_status VARCHAR(255),
+    album_price INTEGER,
+    album_quantity VARCHAR(255),
+    album_rating VARCHAR(255)
+);
+CREATE TABLE "Order" (
+    order_id INTEGER PRIMARY KEY,
+    order_name VARCHAR(255),
+    order_title VARCHAR(255),
+    order_body INTEGER,
+    order_email VARCHAR(255),
+    order_status VARCHAR(255),
+    order_price INTEGER,
+    order_quantity VARCHAR(255)
+);
+CREATE TABLE Product (
+    product_id INTEGER PRIMARY KEY,
+    product_name VARCHAR(255),
+    product_title VARCHAR(255),
+    product_body INTEGER,
+    product_email VARCHAR(255),
+    product_status VARCHAR(255),
+    product_price INTEGER,
+    product_quantity VARCHAR(255)
+);
+CREATE TABLE Cart (
+    cart_id INTEGER PRIMARY KEY,
+    cart_name VARCHAR(255),
+    cart_title VARCHAR(255),
+    cart_body INTEGER,
+    cart_email VARCHAR(255),
+    cart_status VARCHAR(255),
+    cart_price INTEGER,
+    cart_quantity VARCHAR(255)
+);
