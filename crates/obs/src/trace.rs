@@ -208,7 +208,7 @@ impl Trace {
             );
         }
         for span in &inner.spans {
-            let dur = span.end.unwrap_or(now).saturating_sub(span.start);
+            let (ts, dur) = chrome_interval(span.start, span.end.unwrap_or(now));
             let (tid, cat) = match span.track {
                 Track::Pipeline => (1usize, "pipeline"),
                 Track::Phases => (2usize, "phase"),
@@ -222,8 +222,8 @@ impl Trace {
                     .with("name", Json::str(&span.name))
                     .with("cat", Json::str(cat))
                     .with("ph", Json::str("X"))
-                    .with("ts", Json::from(span.start.as_micros() as usize))
-                    .with("dur", Json::from(dur.as_micros() as usize))
+                    .with("ts", Json::from(ts))
+                    .with("dur", Json::from(dur))
                     .with("pid", Json::from(1usize))
                     .with("tid", Json::from(tid))
                     .with("args", args),
@@ -231,6 +231,15 @@ impl Trace {
         }
         Json::object().with("traceEvents", Json::Array(events))
     }
+}
+
+/// A span's Chrome `ts` and `dur` in whole microseconds. Both ends are
+/// floored before subtracting: flooring `start` and the duration separately
+/// can put the exported end 1 µs before the floored end, so a parent ending
+/// less than 1 µs after its child could export ending before it.
+fn chrome_interval(start: Duration, end: Duration) -> (usize, usize) {
+    let (start, end) = (start.as_micros() as usize, end.as_micros() as usize);
+    (start, end.saturating_sub(start))
 }
 
 #[cfg(test)]
@@ -291,5 +300,68 @@ mod tests {
         let a_start = phase[0].get("ts").and_then(Json::as_i128).unwrap();
         let b_start = phase[1].get("ts").and_then(Json::as_i128).unwrap();
         assert_eq!(b_start, a_start + 10);
+    }
+
+    /// Whether the exported interval of `child` lies within `parent`'s.
+    fn exports_nested(parent: (usize, usize), child: (usize, usize)) -> bool {
+        parent.0 <= child.0 && child.0 + child.1 <= parent.0 + parent.1
+    }
+
+    #[test]
+    fn chrome_export_keeps_nanosecond_nesting() {
+        let ns = Duration::from_nanos;
+        let trace = Trace::new();
+        {
+            let mut inner = trace.lock();
+            for (name, parent, start, end) in [
+                ("parent", None, ns(900), ns(2100)),
+                ("child", Some(0), ns(1000), ns(2050)),
+            ] {
+                inner.spans.push(Span {
+                    name: name.to_string(),
+                    parent,
+                    start,
+                    end: Some(end),
+                    args: Vec::new(),
+                    track: Track::Pipeline,
+                });
+            }
+        }
+        let json = trace.to_chrome_json();
+        let spans: Vec<(usize, usize)> = json
+            .get("traceEvents")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .map(|e| {
+                let field = |key| e.get(key).and_then(Json::as_i128).unwrap() as usize;
+                (field("ts"), field("dur"))
+            })
+            .collect();
+        assert_eq!(spans, [(0, 2), (1, 1)]);
+        assert!(exports_nested(spans[0], spans[1]));
+
+        // Every nested pair of nanosecond intervals stays nested.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for _ in 0..10_000 {
+            let parent_start = next(5_000);
+            let child_start = parent_start + next(3_000);
+            let child_end = child_start + next(3_000);
+            let parent_end = child_end + next(3_000);
+            let parent = chrome_interval(ns(parent_start), ns(parent_end));
+            let child = chrome_interval(ns(child_start), ns(child_end));
+            assert!(
+                exports_nested(parent, child),
+                "{parent_start}..{parent_end} ns exported as {parent:?}, \
+                 {child_start}..{child_end} ns as {child:?}"
+            );
+        }
     }
 }

@@ -352,17 +352,19 @@ fn run_one(
         Some(Arc::new(MainChannelOnly(Arc::clone(writer)))),
         Some(Arc::clone(writer) as Arc<dyn pipeline::PipelineObserver>),
     );
-    writer.finish(&report.outcome);
-    bus.close();
-    drop(reservation);
 
+    // Record the result before sealing the stream: a watcher that has read
+    // `run_finished` may ask for `result` at once, and must find it.
     let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(job) = jobs.iter_mut().find(|j| j.id == id) {
         job.status = JobStatus::Done;
-        job.outcome = Some(report.outcome);
+        job.outcome = Some(report.outcome.clone());
         job.ok = report.ok;
         job.document = Some(report.document);
     }
+    writer.finish(&report.outcome);
+    bus.close();
+    drop(reservation);
     state.running.fetch_sub(1, Ordering::SeqCst);
     state.wake.notify_all();
 }

@@ -1,6 +1,8 @@
 //! End-to-end tests of the job server: protocol, concurrency determinism,
 //! budgets, cancellation and shutdown.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -183,6 +185,63 @@ fn concurrent_jobs_stream_byte_identical_to_serial_runs() {
     // A watcher joining after completion replays the identical stream.
     let replay = watch_lines(&addr, ids[0]);
     assert_eq!(replay, streams[0]);
+
+    server.shutdown(ShutdownMode::Drain);
+    server.wait();
+    parpool::set_thread_limit(0);
+}
+
+/// Submits `spec`, follows the job's stream to its terminal `run_finished`
+/// line and asks for the result the moment that line arrives. The watch and
+/// result connections are opened before the submission, so the server has
+/// accepted both by the time the job exists and neither request waits for
+/// the accept loop.
+fn result_at_stream_end(addr: &str, spec: &JobSpec) -> Json {
+    let mut result_connection = TcpStream::connect(addr).expect("connect");
+    let mut watch = TcpStream::connect(addr).expect("connect");
+    let id = submit(addr, spec).expect("submit");
+    let request_line = |cmd: &str| {
+        Json::object()
+            .with("cmd", Json::str(cmd))
+            .with("id", Json::from(id as usize))
+            .to_compact_string()
+    };
+    writeln!(watch, "{}", request_line("watch")).expect("send watch");
+    let finished = BufReader::new(watch)
+        .lines()
+        .map(|line| line.expect("stream line"))
+        .any(|line| line.contains("\"run_finished\""));
+    assert!(finished, "job {id}'s stream ended without run_finished");
+    writeln!(result_connection, "{}", request_line("result")).expect("send result");
+    let mut reply = String::new();
+    BufReader::new(result_connection)
+        .read_line(&mut reply)
+        .expect("result reply");
+    Json::parse(&reply).expect("result reply parses")
+}
+
+#[test]
+fn result_is_ready_as_soon_as_the_watched_stream_ends() {
+    // At a thread limit of 1 a job needs no thread-budget token, so it
+    // starts at once and the pre-opened connections are used well within
+    // the server's request-read timeout.
+    let _guard = limit_lock();
+    parpool::set_thread_limit(1);
+    let server = Server::start(ServerConfig::default()).expect("server starts");
+    let addr = server.addr().to_string();
+    let mut spec = rename_spec();
+    spec.validate = false;
+
+    for round in 0..100 {
+        let result = result_at_stream_end(&addr, &spec);
+        assert_eq!(
+            result.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "round {round}: {}",
+            result.to_compact_string()
+        );
+        assert_eq!(result.get("outcome").and_then(Json::as_str), Some("solved"));
+    }
 
     server.shutdown(ShutdownMode::Drain);
     server.wait();
