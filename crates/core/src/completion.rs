@@ -33,7 +33,8 @@
 //! * **Prefix sharing** — every bounded check of the sketch (testing and
 //!   verification) shares one [`PrefixCache`], so update prefixes executed
 //!   for candidate *k* are reused by candidate *k+1* when the prefix's
-//!   update bodies did not change.
+//!   update bodies did not change, and each call's plan is compiled once
+//!   per function body it runs against.
 
 use dbir::equiv::{CheckProfile, PrefixCache, SourceOracle, TestConfig};
 use dbir::{Program, Schema};

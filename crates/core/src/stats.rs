@@ -81,9 +81,11 @@ impl SynthesisStats {
 ///   incremental-solver counters are deterministic because candidate
 ///   speculation *always* runs — [`parpool::join`] degrades to sequential
 ///   execution rather than skipping the probe — so the solver sees the same
-///   call sequence at any thread budget; prefix-cache resolution happens at
-///   sequential points of each check, so hit counts are a pure function of
-///   the candidate sequence; the undo-log counters are deterministic
+///   call sequence at any thread budget; prefix-cache resolution and plan
+///   compilation happen at sequential points of each check, through the
+///   sketch's own prefix cache, so hit and compile counts are a pure
+///   function of the sketch's candidate sequence; the undo-log counters
+///   are deterministic
 ///   because every production check runs prefix-cached, whose per-root walk
 ///   work is merged in root order (see [`CheckProfile`]).
 /// * **Scheduling-dependent diagnostics** — `snapshots_taken` and

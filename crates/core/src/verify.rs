@@ -142,9 +142,9 @@ pub fn check_candidate_profiled(
     )
 }
 
-/// Like [`check_candidate_profiled`], but additionally shares executed
-/// update-prefix states across candidates through `cache` when one is
-/// supplied. The verdict and every reported count are identical with or
+/// Like [`check_candidate_profiled`], but additionally shares compiled
+/// plans and executed update-prefix states across candidates through
+/// `cache` when one is supplied. The verdict and every reported count are identical with or
 /// without the cache — only which update executions are skipped changes —
 /// so passing the same cache to the bounded-testing and verification
 /// checks of one sketch is sound and lets verification reuse the prefixes

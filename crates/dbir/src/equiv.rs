@@ -35,9 +35,21 @@
 //! On top of prefix sharing, a [`SourceOracle`] memoizes the *source*
 //! program's outcome per invocation sequence. During synthesis the source is
 //! fixed while many candidates are checked against it, so across a synthesis
-//! run each sequence is interpreted on the source at most once. The oracle
-//! is `Sync` (lock-striped outcome cache, `RwLock`-guarded call interning),
-//! so that single at-most-once guarantee spans *all* worker threads.
+//! run each sequence is interpreted on the source at most once. The memo
+//! stores update prefixes as a trie — each prefix is a node reached from its
+//! parent by one interned update call — and each sequence as one
+//! fixed-width `(prefix node, query call id)` entry pointing into a table of
+//! distinct outcomes, so an entry costs no heap allocation of its own
+//! whatever the bound. The oracle is `Sync` (trie, entries and outcomes are
+//! striped across mutex-guarded shards), so that single at-most-once
+//! guarantee spans *all* worker threads.
+//!
+//! Plans are compiled once per sketch, not once per check: a check compiles
+//! each update and query call it tests through the [`PrefixCache`] it is
+//! given (or a check-local one), which keeps every compiled plan keyed by
+//! side, interned call and interned function body. The source's plans are
+//! compiled by the sketch's first check; a later check compiles only the
+//! target calls of function bodies no earlier check of the sketch has seen.
 //!
 //! The prefix-shared walk itself is parallel: within one (query plan, depth)
 //! subtree, the tree is partitioned into update-call *stub prefixes* whose
@@ -236,8 +248,10 @@ pub struct EquivalenceReport {
 /// the report is compared structurally by the engine-differential tests and
 /// must stay free of wall-clock noise.
 ///
-/// Determinism: `plans_compiled` is identical at any thread count (plan
-/// compilation happens once per check, before the parallel walk).
+/// Determinism: `plans_compiled` is identical at any thread count. Plans
+/// are compiled on the check's calling thread before the parallel walk and
+/// memoized in the check's [`PrefixCache`], so the count depends only on
+/// the checks that shared that cache before.
 /// `snapshots_taken` and `snapshot_bytes_copied` are **scheduling-dependent**
 /// on the uncached path — parallel stub tasks replay their stub prefixes
 /// from the empty roots, so higher thread counts take strictly more
@@ -251,7 +265,8 @@ pub struct EquivalenceReport {
 /// across runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckProfile {
-    /// Time spent compiling update/query plans for the check.
+    /// Time spent preparing the check: interning its calls and function
+    /// bodies, and compiling the plans its [`PrefixCache`] did not hold yet.
     pub plan_compile_time: Duration,
     /// Number of update/query plan compilations performed.
     pub plans_compiled: u64,
@@ -336,10 +351,11 @@ impl SnapStats {
 
 /// A minimal FNV-1a hasher for the oracle's interned-id keys.
 ///
-/// The cache is probed once per tested sequence — millions of times per
-/// check — with keys that are a handful of `u32`s, exactly the shape FNV is
-/// good at. (DoS-resistant hashing is pointless here: keys are internal
-/// interned ids, not attacker-controlled input.)
+/// The memo is probed once per tested sequence and once per walked trie
+/// edge — millions of times per check — with keys packed from two `u32`
+/// ids, exactly the shape FNV is good at. (DoS-resistant hashing is
+/// pointless here: keys are internal interned ids, not attacker-controlled
+/// input.)
 #[derive(Debug, Clone)]
 struct FnvHasher(u64);
 
@@ -365,9 +381,47 @@ impl std::hash::Hasher for FnvHasher {
 
 type FnvBuild = std::hash::BuildHasherDefault<FnvHasher>;
 
-/// One stripe of the oracle's outcome cache: interned call-id sequence →
-/// shared outcome.
-type OutcomeShard = Mutex<HashMap<Box<[u32]>, Arc<Outcome>, FnvBuild>>;
+/// Packs two `u32` ids into one fixed-width memo key.
+fn pair(high: u32, low: u32) -> u64 {
+    (u64::from(high) << 32) | u64::from(low)
+}
+
+/// The trie node of the empty update prefix.
+const ROOT: u32 = 0;
+
+/// One stripe of the oracle's memo. A trie node's outgoing edges and the
+/// entries of the sequences ending at it live in shard `node % SHARDS`.
+#[derive(Debug, Default)]
+struct OracleShard {
+    /// Trie edges: `(parent node, update call id)` → child node.
+    children: HashMap<u64, u32, FnvBuild>,
+    /// Memoized sequences: `(prefix node, query call id)` → index into
+    /// `outcomes`.
+    entries: HashMap<u64, u32, FnvBuild>,
+    /// The distinct outcomes of this shard's entries, each stored once.
+    outcomes: Vec<Arc<Outcome>>,
+    /// Each stored outcome's index in `outcomes`.
+    outcome_ids: HashMap<Arc<Outcome>, u32>,
+}
+
+impl OracleShard {
+    /// Memoizes `outcome` for `key` and returns it as stored.
+    fn insert(&mut self, key: u64, outcome: Outcome) -> &Outcome {
+        let index = match self.outcome_ids.get(&outcome) {
+            Some(&index) => index,
+            None => {
+                let index = u32::try_from(self.outcomes.len())
+                    .expect("more than u32::MAX distinct outcomes in one shard");
+                let outcome = Arc::new(outcome);
+                self.outcomes.push(Arc::clone(&outcome));
+                self.outcome_ids.insert(outcome, index);
+                index
+            }
+        };
+        self.entries.insert(key, index);
+        &self.outcomes[index as usize]
+    }
+}
 
 /// Memoizes the source program's observable outcome per invocation sequence.
 ///
@@ -378,29 +432,38 @@ type OutcomeShard = Mutex<HashMap<Box<[u32]>, Arc<Outcome>, FnvBuild>>;
 /// source at most once; subsequent candidates only pay for their own (target)
 /// side.
 ///
-/// Internally every distinct [`Call`] is interned to a `u32`, and the cache
-/// key is the sequence of interned ids. A sequence — the interpreter being
-/// deterministic — completely determines the outcome for a fixed program
-/// and schema, so it is sound to share one oracle across different
-/// [`TestConfig`]s (e.g. the testing and verification passes).
+/// Every distinct [`Call`] is interned to a `u32` (behind a read-mostly
+/// `RwLock`, consulted once per call while a check is prepared, not while it
+/// walks). Update prefixes form a trie whose nodes are `u32`s: the empty
+/// prefix is the root, and extending a prefix by one update call follows
+/// the `(parent node, call id)` edge. A memoized sequence is one
+/// `(prefix node, query call id)` entry — a single `u64` key holding a
+/// `u32` index into its shard's table of distinct outcomes — so entries are
+/// fixed-width for any [`TestConfig::max_updates`], and equal outcomes (the
+/// empty result above all) are stored once per shard however many
+/// sequences produce them. A sequence — the interpreter being deterministic
+/// — completely determines the outcome for a fixed program and schema, so
+/// it is sound to share one oracle across different [`TestConfig`]s (e.g.
+/// the testing and verification passes).
 ///
-/// The oracle is `Sync`: the outcome cache is striped across
-/// `SourceOracle::SHARDS` mutexes keyed by an FNV hash of the interned
-/// sequence, call interning sits behind a read-mostly `RwLock`, and cached
-/// outcomes are handed out as `Arc`s so the hot comparison path never clones
-/// row sets. Workers racing on the same uncached sequence may compute it
-/// twice (the computation happens outside the shard lock on purpose — it
-/// interprets a program); both arrive at the same deterministic outcome, so
-/// the duplicate work is bounded waste, never unsoundness.
+/// The oracle is `Sync`: trie edges, entries and outcomes are striped
+/// across `SourceOracle::SHARDS` mutexes by node, and a hit compares
+/// against the stored outcome under its shard lock instead of cloning it.
+/// Workers racing on the same uncached sequence may compute it twice (the
+/// computation happens outside the shard lock on purpose — it interprets a
+/// program); both arrive at the same deterministic outcome, so the
+/// duplicate work is bounded waste, never unsoundness. Node ids depend on
+/// which worker reaches a prefix first; no verdict or counter does.
 #[derive(Debug)]
 pub struct SourceOracle<'p> {
     program: &'p Program,
     schema: &'p Schema,
     /// Interning table: one id per distinct call ever seen.
     call_ids: RwLock<HashMap<Call, u32>>,
-    /// Outcomes keyed by interned call-id sequences (updates ++ query),
-    /// striped to keep shard-lock hold times at hash-probe length.
-    shards: Vec<OutcomeShard>,
+    /// The memo's trie and entries, striped by node.
+    shards: Vec<Mutex<OracleShard>>,
+    /// The next trie node id to hand out.
+    next_node: AtomicUsize,
     hits: AtomicUsize,
     entries: AtomicUsize,
     capacity: usize,
@@ -417,7 +480,7 @@ impl<'p> SourceOracle<'p> {
     /// outcomes are recomputed instead of stored.
     const DEFAULT_CAPACITY: usize = 4_000_000;
 
-    /// Number of cache stripes. Comfortably above any realistic worker
+    /// Number of memo stripes. Comfortably above any realistic worker
     /// count, so two workers rarely contend on one shard lock.
     const SHARDS: usize = 32;
 
@@ -428,8 +491,9 @@ impl<'p> SourceOracle<'p> {
             schema,
             call_ids: RwLock::new(HashMap::new()),
             shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(HashMap::default()))
+                .map(|_| Mutex::new(OracleShard::default()))
                 .collect(),
+            next_node: AtomicUsize::new(1),
             hits: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),
             capacity: Self::DEFAULT_CAPACITY,
@@ -470,7 +534,7 @@ impl<'p> SourceOracle<'p> {
     pub fn cached_sequences(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("oracle shard poisoned").len())
+            .map(|s| s.lock().expect("oracle shard poisoned").entries.len())
             .sum()
     }
 
@@ -490,59 +554,95 @@ impl<'p> SourceOracle<'p> {
             .or_insert_with(|| u32::try_from(next).expect("more than u32::MAX distinct calls"))
     }
 
-    /// The shard index for an interned key.
-    fn shard_of(key: &[u32]) -> usize {
-        use std::hash::Hasher as _;
-        let mut hasher = FnvHasher::default();
-        for &id in key {
-            hasher.write(&id.to_le_bytes());
+    /// The shard holding `node`'s edges and entries.
+    fn shard(&self, node: u32) -> &Mutex<OracleShard> {
+        &self.shards[node as usize % Self::SHARDS]
+    }
+
+    /// The trie node of `node`'s prefix extended by the update call `call`,
+    /// created on first sight. `None` once the memo is full and the node
+    /// does not exist yet: no sequence through it can be memoized then, so
+    /// every sequence through it is computed — exactly what a full memo
+    /// does for any sequence it has not stored.
+    fn child(&self, node: u32, call: u32) -> Option<u32> {
+        let mut shard = self.shard(node).lock().expect("oracle shard poisoned");
+        let key = pair(node, call);
+        if let Some(&child) = shard.children.get(&key) {
+            return Some(child);
         }
-        (hasher.finish() as usize) % Self::SHARDS
+        if self.entries.load(Ordering::Relaxed) >= self.capacity {
+            return None;
+        }
+        let child = u32::try_from(self.next_node.fetch_add(1, Ordering::Relaxed))
+            .expect("more than u32::MAX prefix nodes");
+        shard.children.insert(key, child);
+        Some(child)
+    }
+
+    /// The trie node of the prefix made of the interned update `calls`
+    /// (see [`SourceOracle::child`] for `None`).
+    fn prefix_node(&self, calls: impl IntoIterator<Item = u32>) -> Option<u32> {
+        calls
+            .into_iter()
+            .try_fold(ROOT, |node, call| self.child(node, call))
     }
 
     /// The source outcome for `sequence`, interpreting the source program at
     /// most once per distinct sequence.
     pub fn observe(&self, sequence: &InvocationSequence) -> Outcome {
-        let mut key = Vec::with_capacity(sequence.updates.len() + 1);
-        for call in &sequence.updates {
-            key.push(self.intern(call));
-        }
-        key.push(self.intern(&sequence.query));
-        (*self.outcome(&key, || observe(self.program, self.schema, sequence))).clone()
+        let node = self.prefix_node(sequence.updates.iter().map(|call| self.intern(call)));
+        let query = self.intern(&sequence.query);
+        self.with_outcome(
+            node,
+            query,
+            || observe(self.program, self.schema, sequence),
+            Outcome::clone,
+        )
     }
 
-    /// The cached outcome for the interned key, computing (and caching) it
-    /// with `compute` on a miss.
-    fn outcome(&self, key: &[u32], compute: impl FnOnce() -> Outcome) -> Arc<Outcome> {
-        let shard = &self.shards[Self::shard_of(key)];
-        if let Some(hit) = shard.lock().expect("oracle shard poisoned").get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
+    /// Applies `inspect` to the memoized outcome of the sequence ending in
+    /// the query call `query` after the prefix `node`, computing (and,
+    /// capacity permitting, storing) it with `compute` on a miss. A hit is
+    /// inspected under its shard lock, so nothing is cloned.
+    fn with_outcome<R>(
+        &self,
+        node: Option<u32>,
+        query: u32,
+        compute: impl FnOnce() -> Outcome,
+        inspect: impl FnOnce(&Outcome) -> R,
+    ) -> R {
+        let slot = node.map(|node| (self.shard(node), pair(node, query)));
+        if let Some((shard, key)) = slot {
+            let guard = shard.lock().expect("oracle shard poisoned");
+            if let Some(&index) = guard.entries.get(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return inspect(&guard.outcomes[index as usize]);
+            }
         }
         // Interpret outside the lock: this is the expensive part, and
         // holding the shard across it would serialize unrelated misses.
         // The clock reads cost two syscalls per *miss*, against a full
         // program interpretation — noise.
         let compute_start = Instant::now();
-        let outcome = Arc::new(compute());
+        let outcome = compute();
         self.compute_nanos.fetch_add(
             u64::try_from(compute_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
         self.computes.fetch_add(1, Ordering::Relaxed);
+        let Some((shard, key)) = slot else {
+            return inspect(&outcome);
+        };
         let mut guard = shard.lock().expect("oracle shard poisoned");
-        match guard.get(key) {
-            // A racing worker finished the same sequence first; adopt its
-            // entry so every caller shares one allocation.
-            Some(existing) => Arc::clone(existing),
-            None => {
-                if self.entries.load(Ordering::Relaxed) < self.capacity {
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                    guard.insert(key.to_vec().into_boxed_slice(), Arc::clone(&outcome));
-                }
-                outcome
-            }
+        if let Some(&index) = guard.entries.get(&key) {
+            // A racing worker finished the same sequence first.
+            return inspect(&guard.outcomes[index as usize]);
         }
+        if self.entries.load(Ordering::Relaxed) >= self.capacity {
+            return inspect(&outcome);
+        }
+        self.entries.fetch_add(1, Ordering::Relaxed);
+        inspect(guard.insert(key, outcome))
     }
 }
 
@@ -713,31 +813,46 @@ const PREFIX_CACHE_DEPTH: usize = 2;
 /// entries are only ever added, in a deterministic order, never dropped.
 const PREFIX_CACHE_CAPACITY: usize = 1 << 17;
 
-/// Cross-candidate cache of update-prefix execution states, keyed by the
-/// *semantic identity* of the prefix — the oracle-interned update calls
-/// paired with the interned bodies of the functions they invoke — rather
-/// than by candidate.
+/// Cross-candidate cache of compiled plans and update-prefix execution
+/// states, keyed by *semantic identity* — oracle-interned calls paired with
+/// the interned bodies of the functions they invoke — rather than by
+/// candidate.
 ///
-/// During sketch completion the bounded-testing engine re-executes the same
-/// short update prefixes for every candidate: the source program never
-/// changes, and successive candidates usually differ in only a few update
-/// functions. One `PrefixCache` per sketch run lets every check reuse the
-/// executed states of prefixes whose calls *and* function bodies it has
-/// seen before — typically the entire source side after the first
-/// candidate, plus every target prefix not touching a changed hole —
-/// instead of re-running them from the empty instance.
+/// During sketch completion the bounded-testing engine compiles the same
+/// calls and re-executes the same short update prefixes for every
+/// candidate: the source program never changes, and successive candidates
+/// usually differ in only a few update functions. One `PrefixCache` per
+/// sketch run lets every check reuse:
+///
+/// * the compiled plan of every call whose function body it has seen
+///   before, keyed by `(side, call id, body id)` — so the source's plans
+///   compile once per sketch and the target's once per distinct body;
+/// * the executed states of prefixes whose calls *and* function bodies it
+///   has seen before — typically the entire source side after the first
+///   candidate, plus every target prefix not touching a changed hole —
+///   instead of re-running them from the empty instance.
+///
+/// A cache belongs to one [`SourceOracle`] (its call ids) and one target
+/// schema (its plans), as a sketch run does. A check without a cache
+/// compiles through a check-local one and shares no prefix states.
 ///
 /// All access is sequential: the cache is handed down as `&mut` and
 /// consulted only on the check's calling thread, between parallel sections
-/// (see [`compare_with_oracle_profiled`]). [`PrefixCache::hits`] is
-/// therefore byte-identical at any thread count, unlike the
-/// scheduling-dependent snapshot counters.
+/// (see [`compare_with_oracle_profiled`]). [`PrefixCache::hits`] and the
+/// number of plans compiled are therefore byte-identical at any thread
+/// count, unlike the scheduling-dependent snapshot counters.
 #[derive(Debug, Default)]
 pub struct PrefixCache {
     /// Interned function bodies: pretty-printed text → id. Two functions
     /// share an id exactly when they are structurally identical, so a body
-    /// id in a prefix key is an exact fingerprint, not a lossy hash.
+    /// id in a key is an exact fingerprint, not a lossy hash.
     bodies: HashMap<String, u32, FnvBuild>,
+    /// Compiled update plans by [`PlanKey`].
+    update_plans: HashMap<PlanKey, Arc<PreparedUpdate>, FnvBuild>,
+    /// Compiled query plans by [`PlanKey`].
+    query_plans: HashMap<PlanKey, Arc<PreparedQuery>, FnvBuild>,
+    /// Plans compiled into `update_plans` and `query_plans` so far.
+    plans_compiled: u64,
     /// Prefix key → the state after executing that prefix from the empty
     /// instance.
     states: HashMap<PrefixKey, Arc<ExecState>, FnvBuild>,
@@ -747,6 +862,51 @@ pub struct PrefixCache {
 /// A prefix-cache key: `(is_target_side, [(call id, body id), ..])` — the
 /// candidate-invariant semantics of one update prefix.
 type PrefixKey = (bool, Box<[(u32, u32)]>);
+
+/// A compiled-plan key: `(is_target_side, call id, body id)`.
+type PlanKey = (bool, u32, u32);
+
+/// One side of a check while its plans are prepared: the program, its
+/// schema and the interned body id of each function the plans call.
+struct Side<'a> {
+    target: bool,
+    program: &'a Program,
+    schema: &'a Schema,
+    bodies: HashMap<&'a str, u32>,
+}
+
+impl Side<'_> {
+    /// The body id of the function `call` invokes.
+    fn body(&self, call: &Call) -> u32 {
+        self.bodies[call.function.as_str()]
+    }
+
+    /// The plan of each of `calls` (interned as `ids`) from `memo`,
+    /// compiling with `compile` — and counting in `compiled` — only those
+    /// whose key is not there yet.
+    fn compiled<T>(
+        &self,
+        memo: &mut HashMap<PlanKey, Arc<T>, FnvBuild>,
+        compiled: &mut u64,
+        calls: &[Call],
+        ids: &[u32],
+        compile: fn(&Program, &Schema, &Call) -> T,
+    ) -> Vec<Arc<T>> {
+        calls
+            .iter()
+            .zip(ids)
+            .map(|(call, &id)| {
+                let plan = memo
+                    .entry((self.target, id, self.body(call)))
+                    .or_insert_with(|| {
+                        *compiled += 1;
+                        Arc::new(compile(self.program, self.schema, call))
+                    });
+                Arc::clone(plan)
+            })
+            .collect()
+    }
+}
 
 impl PrefixCache {
     /// An empty cache.
@@ -777,6 +937,82 @@ impl PrefixCache {
         *self.bodies.entry(text).or_insert_with(|| {
             u32::try_from(next).expect("more than u32::MAX distinct function bodies")
         })
+    }
+
+    /// One side of a check, with the body of every function the check's
+    /// plans can call — the source program's functions — interned once.
+    fn side<'a>(
+        &mut self,
+        target: bool,
+        program: &'a Program,
+        schema: &'a Schema,
+        source: &'a Program,
+    ) -> Side<'a> {
+        let bodies = source
+            .functions
+            .iter()
+            .map(|f| (f.name.as_str(), self.intern_function(program, &f.name)))
+            .collect();
+        Side {
+            target,
+            program,
+            schema,
+            bodies,
+        }
+    }
+
+    /// The compiled plans of every call of one check, compiling only those
+    /// whose `(side, call, body)` no earlier check through this cache
+    /// compiled.
+    fn prepare(
+        &mut self,
+        oracle: &SourceOracle<'_>,
+        target: &Program,
+        target_schema: &Schema,
+        plans: &[QueryPlan],
+    ) -> Vec<PreparedPlan> {
+        let source = oracle.program();
+        let src = self.side(false, source, oracle.schema(), source);
+        let tgt = self.side(true, target, target_schema, source);
+        plans
+            .iter()
+            .map(|plan| {
+                let update_ids: Vec<u32> =
+                    plan.update_calls.iter().map(|c| oracle.intern(c)).collect();
+                let query_ids: Vec<u32> =
+                    plan.query_calls.iter().map(|c| oracle.intern(c)).collect();
+                let mut updates = |side: &Side<'_>| {
+                    side.compiled(
+                        &mut self.update_plans,
+                        &mut self.plans_compiled,
+                        &plan.update_calls,
+                        &update_ids,
+                        prepare_update,
+                    )
+                };
+                let (src_updates, tgt_updates) = (updates(&src), updates(&tgt));
+                let mut queries = |side: &Side<'_>| {
+                    side.compiled(
+                        &mut self.query_plans,
+                        &mut self.plans_compiled,
+                        &plan.query_calls,
+                        &query_ids,
+                        prepare_query,
+                    )
+                };
+                let (src_queries, tgt_queries) = (queries(&src), queries(&tgt));
+                PreparedPlan {
+                    src_updates,
+                    tgt_updates,
+                    src_queries,
+                    tgt_queries,
+                    src_body_ids: plan.update_calls.iter().map(|c| src.body(c)).collect(),
+                    tgt_body_ids: plan.update_calls.iter().map(|c| tgt.body(c)).collect(),
+                    update_ids,
+                    query_ids,
+                }
+            })
+            .collect()
     }
 
     /// The cached state for `key`, computing (and, capacity permitting,
@@ -831,11 +1067,12 @@ enum Search {
 /// One plan's calls, pre-resolved and pre-bound against one program.
 ///
 /// Function resolution, query/update kind checks, argument binding and
-/// update-plan compilation are deterministic per (program, call), so doing
-/// them once per check — instead of once per tested sequence — preserves
-/// behaviour exactly: a call that would fail to resolve, bind or compile
-/// simply fails every sequence it appears in, with an error a straight-line
-/// replay would also report on every one of those sequences.
+/// plan compilation are deterministic per (function body, call, schema),
+/// so doing them once per sketch — instead of once per tested sequence —
+/// preserves behaviour exactly: a call that would fail to resolve, bind or
+/// compile simply fails every sequence it appears in, with an error a
+/// straight-line replay would also report on every one of those sequences.
+#[derive(Debug)]
 enum PreparedUpdate {
     /// A compiled update plan: structural resolution and operand evaluation
     /// already done, execution touches rows only (see [`UpdatePlan`]).
@@ -843,6 +1080,7 @@ enum PreparedUpdate {
     Failed(Error),
 }
 
+#[derive(Debug)]
 enum PreparedQuery {
     /// A compiled rows-plan: structural resolution already done, execution
     /// touches rows only (see [`RowsPlan`]).
@@ -850,21 +1088,23 @@ enum PreparedQuery {
     Failed(Error),
 }
 
+/// One plan's calls, compiled for both sides (shared with the
+/// [`PrefixCache`] that memoizes them).
 struct PreparedPlan {
     /// Interned oracle ids, parallel to `QueryPlan::update_calls`.
     update_ids: Vec<u32>,
     /// Interned oracle ids, parallel to `QueryPlan::query_calls`.
     query_ids: Vec<u32>,
     /// Source-side interned function-body ids, parallel to
-    /// `QueryPlan::update_calls`. Empty unless a [`PrefixCache`] is in use.
+    /// `QueryPlan::update_calls`.
     src_body_ids: Vec<u32>,
     /// Target-side interned function-body ids, parallel to
-    /// `QueryPlan::update_calls`. Empty unless a [`PrefixCache`] is in use.
+    /// `QueryPlan::update_calls`.
     tgt_body_ids: Vec<u32>,
-    src_updates: Vec<PreparedUpdate>,
-    tgt_updates: Vec<PreparedUpdate>,
-    src_queries: Vec<PreparedQuery>,
-    tgt_queries: Vec<PreparedQuery>,
+    src_updates: Vec<Arc<PreparedUpdate>>,
+    tgt_updates: Vec<Arc<PreparedUpdate>>,
+    src_queries: Vec<Arc<PreparedQuery>>,
+    tgt_queries: Vec<Arc<PreparedQuery>>,
 }
 
 fn prepare_update(program: &Program, schema: &Schema, call: &Call) -> PreparedUpdate {
@@ -935,8 +1175,10 @@ pub fn compare_with_oracle_cancel(
 
 /// Like [`compare_with_oracle_cancel`], but additionally fills `profile`
 /// with per-phase accounting (plan compilation, tree walk, snapshot
-/// copying) when one is supplied, and shares executed update-prefix states
-/// across checks through `cache` when one is supplied. With both absent the
+/// copying) when one is supplied, and shares compiled plans and executed
+/// update-prefix states across checks through `cache` when one is supplied
+/// (without one, the check compiles through a check-local cache and shares
+/// no prefix states). With both absent the
 /// check takes no extra clock reads and the behaviour — including every
 /// reported count — is identical to [`compare_with_oracle_cancel`]; with a
 /// cache, *what* is reported (counterexample, `sequences_tested`,
@@ -949,66 +1191,23 @@ pub fn compare_with_oracle_profiled(
     config: &TestConfig,
     cancel: Option<&CancelToken>,
     mut profile: Option<&mut CheckProfile>,
-    mut cache: Option<&mut PrefixCache>,
+    cache: Option<&mut PrefixCache>,
 ) -> EquivalenceReport {
     let timed = profile.is_some();
     let compile_start = timed.then(Instant::now);
-    let source = oracle.program();
-    let source_schema = oracle.schema();
-    let plans = build_plans(source, target, config);
-    let mut prepared: Vec<PreparedPlan> = plans
-        .iter()
-        .map(|plan| PreparedPlan {
-            update_ids: plan.update_calls.iter().map(|c| oracle.intern(c)).collect(),
-            query_ids: plan.query_calls.iter().map(|c| oracle.intern(c)).collect(),
-            src_body_ids: Vec::new(),
-            tgt_body_ids: Vec::new(),
-            src_updates: plan
-                .update_calls
-                .iter()
-                .map(|c| prepare_update(source, source_schema, c))
-                .collect(),
-            tgt_updates: plan
-                .update_calls
-                .iter()
-                .map(|c| prepare_update(target, target_schema, c))
-                .collect(),
-            src_queries: plan
-                .query_calls
-                .iter()
-                .map(|c| prepare_query(source, source_schema, c))
-                .collect(),
-            tgt_queries: plan
-                .query_calls
-                .iter()
-                .map(|c| prepare_query(target, target_schema, c))
-                .collect(),
-        })
-        .collect();
+    // One compile path: without a caller's cache the check memoizes its
+    // plans in a check-local one, and shares no prefix states through it.
+    let share_prefixes = cache.is_some();
+    let mut local = PrefixCache::new();
+    let cache = cache.unwrap_or(&mut local);
+    let compiled_before = cache.plans_compiled;
+    let plans = build_plans(oracle.program(), target, config);
+    let prepared = cache.prepare(oracle, target, target_schema, &plans);
     if let (Some(profile), Some(start)) = (profile.as_deref_mut(), compile_start) {
         profile.plan_compile_time += start.elapsed();
-        profile.plans_compiled += plans
-            .iter()
-            .map(|p| 2 * (p.update_calls.len() + p.query_calls.len()) as u64)
-            .sum::<u64>();
+        profile.plans_compiled += cache.plans_compiled - compiled_before;
     }
-    // Prefix-cache keys pair each call with its function's body id, so the
-    // body interning must see this check's target program (candidates swap
-    // update-function bodies between checks).
-    if let Some(cache) = cache.as_deref_mut() {
-        for (plan, prep) in plans.iter().zip(&mut prepared) {
-            prep.src_body_ids = plan
-                .update_calls
-                .iter()
-                .map(|c| cache.intern_function(source, &c.function))
-                .collect();
-            prep.tgt_body_ids = plan
-                .update_calls
-                .iter()
-                .map(|c| cache.intern_function(target, &c.function))
-                .collect();
-        }
-    }
+    let mut cache = share_prefixes.then_some(cache);
     let hits_before = cache.as_deref().map(PrefixCache::hits);
     let mut snap = SnapStats {
         timed,
@@ -1173,7 +1372,7 @@ fn search_plan(
             prep,
             cap: config.max_sequences,
             sequences_tested,
-            key: Vec::with_capacity(length + 1),
+            node: Some(ROOT),
             path: Vec::with_capacity(length),
             cancel: None,
             token,
@@ -1218,7 +1417,6 @@ fn search_plan(
             }
             let mut src = ExecState::Live(Instance::empty(source_schema), 0);
             let mut tgt = ExecState::Live(Instance::empty(target_schema), 0);
-            let mut key = Vec::with_capacity(length + 1);
             let mut path = Vec::with_capacity(length);
             let mut stub_snap = SnapStats {
                 timed,
@@ -1227,7 +1425,6 @@ fn search_plan(
             for &i in &digits {
                 src = apply_update(&prep.src_updates[i], &src, &mut stub_snap);
                 tgt = apply_update(&prep.tgt_updates[i], &tgt, &mut stub_snap);
-                key.push(prep.update_ids[i]);
                 path.push(i);
             }
             let src_work = WorkState::from_snapshot(&src, source_schema);
@@ -1239,7 +1436,7 @@ fn search_plan(
                 prep,
                 cap: None,
                 sequences_tested: &mut count,
-                key,
+                node: oracle.prefix_node(digits.iter().map(|&i| prep.update_ids[i])),
                 path,
                 cancel: Some((ctx, task_index)),
                 token,
@@ -1368,11 +1565,7 @@ fn search_plan_prefix_cached(
                 prep,
                 cap: config.max_sequences,
                 sequences_tested: &mut *sequences_tested,
-                key: {
-                    let mut key = Vec::with_capacity(length + 1);
-                    key.extend(path.iter().map(|&i| prep.update_ids[i]));
-                    key
-                },
+                node: oracle.prefix_node(path.iter().map(|&i| prep.update_ids[i])),
                 path: path.clone(),
                 cancel: None,
                 token,
@@ -1410,11 +1603,7 @@ fn search_plan_prefix_cached(
                 prep,
                 cap: None,
                 sequences_tested: &mut count,
-                key: {
-                    let mut key = Vec::with_capacity(length + 1);
-                    key.extend(path.iter().map(|&i| prep.update_ids[i]));
-                    key
-                },
+                node: oracle.prefix_node(path.iter().map(|&i| prep.update_ids[i])),
                 path: path.clone(),
                 cancel: Some((ctx, task_index)),
                 token,
@@ -1555,9 +1744,10 @@ struct Dfs<'a, 'p> {
     prep: &'a PreparedPlan,
     cap: Option<usize>,
     sequences_tested: &'a mut usize,
-    /// Interned ids of the current update prefix (oracle cache key minus
-    /// the final query id).
-    key: Vec<u32>,
+    /// The oracle's trie node for the current update prefix (`None` once
+    /// the oracle's memo is full, or when both sides failed and no leaf
+    /// below consults the oracle).
+    node: Option<u32>,
     /// Indices into `plan.update_calls` for the current prefix, used to
     /// materialize the [`InvocationSequence`] only when a counterexample is
     /// actually found.
@@ -1634,11 +1824,16 @@ impl Dfs<'_, '_> {
         for i in 0..self.plan.update_calls.len() {
             let src_frame = apply_in_place(&prep.src_updates[i], &mut self.src, &mut self.snap);
             let tgt_frame = apply_in_place(&prep.tgt_updates[i], &mut self.tgt, &mut self.snap);
-            self.key.push(prep.update_ids[i]);
+            let parent = self.node;
+            if self.src.failed.is_some() && self.tgt.failed.is_some() {
+                self.node = None;
+            } else {
+                self.node = parent.and_then(|node| self.oracle.child(node, prep.update_ids[i]));
+            }
             self.path.push(i);
             let result = self.walk(depth - 1);
             self.path.pop();
-            self.key.pop();
+            self.node = parent;
             revert_frame(tgt_frame, &mut self.tgt, &mut self.snap);
             revert_frame(src_frame, &mut self.src, &mut self.snap);
             if !matches!(result, Search::Exhausted) {
@@ -1664,12 +1859,12 @@ impl Dfs<'_, '_> {
                 continue;
             }
             let tgt_outcome = work_outcome(&prep.tgt_queries[qi], &self.tgt);
-            self.key.push(query_id);
-            let src_outcome = self
-                .oracle
-                .outcome(&self.key, || work_outcome(&prep.src_queries[qi], &self.src));
-            let agree = outcomes_agree(&src_outcome, &tgt_outcome);
-            self.key.pop();
+            let agree = self.oracle.with_outcome(
+                self.node,
+                query_id,
+                || work_outcome(&prep.src_queries[qi], &self.src),
+                |src_outcome| outcomes_agree(src_outcome, &tgt_outcome),
+            );
             if !agree {
                 // Materialize the failing sequence only now, on the cold
                 // path: the hot path never clones calls.
@@ -2103,6 +2298,85 @@ mod tests {
             cache.hits(),
             "profile must account exactly the hits of its checks"
         );
+    }
+
+    /// Plans compile once per sketch: a second check of the same candidate
+    /// through the same cache compiles nothing, and a candidate that changes
+    /// one update function's body compiles exactly that function's target
+    /// calls.
+    #[test]
+    fn prefix_cache_compiles_each_call_and_body_once() {
+        let source = make_program(true);
+        let schema = schema();
+        let oracle = SourceOracle::new(&source, &schema);
+        let config = TestConfig::default();
+        let mut cache = PrefixCache::new();
+        let mut compiled = |candidate: &Program| {
+            let mut profile = CheckProfile::default();
+            compare_with_oracle_profiled(
+                &oracle,
+                candidate,
+                &schema,
+                &config,
+                None,
+                Some(&mut profile),
+                Some(&mut cache),
+            );
+            profile.plans_compiled
+        };
+        let candidate = make_program(false);
+        let add_user = config.arg_combinations(candidate.function("addUser").unwrap());
+        let get_user = config.arg_combinations(candidate.function("getUser").unwrap());
+        let calls = (add_user.len() + get_user.len()) as u64;
+        assert_eq!(compiled(&candidate), 2 * calls, "both sides compile once");
+        assert_eq!(compiled(&candidate), 0, "a re-check compiles nothing");
+
+        let mut changed = candidate.clone();
+        changed.functions[0].body = FunctionBody::Update(Update::Seq(vec![]));
+        assert_eq!(compiled(&changed), add_user.len() as u64);
+        assert_eq!(compiled(&candidate), 0, "the old body's plans are kept");
+    }
+
+    /// Sequences with equal source outcomes after the same prefix share
+    /// one stored outcome.
+    #[test]
+    fn equal_outcomes_are_stored_once() {
+        let p = make_program(true);
+        let source_schema = schema();
+        let oracle = SourceOracle::new(&p, &source_schema);
+        for uid in [0, 1] {
+            let lookup =
+                InvocationSequence::new(vec![], Call::new("getUser", vec![Value::Int(uid)]));
+            assert_eq!(oracle.observe(&lookup), Outcome::Rows(vec![]));
+        }
+        assert_eq!(oracle.cached_sequences(), 2);
+        let stored: usize = oracle
+            .shards
+            .iter()
+            .map(|shard| shard.lock().unwrap().outcomes.len())
+            .sum();
+        assert_eq!(stored, 1);
+    }
+
+    /// A full memo keeps answering what it holds and computes the rest:
+    /// prefixes it has no node for are walked without one, and every report
+    /// matches an oracle with room to spare.
+    #[test]
+    fn a_full_oracle_still_reports_the_same() {
+        let p = make_program(true);
+        let q = make_program(false);
+        let source_schema = schema();
+        let config = TestConfig::default();
+        let mut full = SourceOracle::new(&p, &source_schema);
+        full.capacity = 3;
+        for candidate in [&p, &q, &p] {
+            let roomy = SourceOracle::new(&p, &source_schema);
+            assert_eq!(
+                compare_with_oracle(&full, candidate, &source_schema, &config),
+                compare_with_oracle(&roomy, candidate, &source_schema, &config),
+            );
+        }
+        assert_eq!(full.cached_sequences(), 3);
     }
 
     #[test]

@@ -199,6 +199,22 @@ fn config_strategy() -> impl Strategy<Value = TestConfig> {
         })
 }
 
+/// `config` with a bound of 5 or 6 preceding updates (`depth` 1 or 2;
+/// `depth` 0 keeps it as it is), one argument combination per function and
+/// no sequence cap, so the walk reaches memo keys of 6 and 7 calls while
+/// staying a few thousand sequences small.
+fn deepened(config: TestConfig, depth: usize) -> TestConfig {
+    if depth == 0 {
+        return config;
+    }
+    TestConfig {
+        max_updates: 4 + depth,
+        max_arg_combinations: Some(1),
+        max_sequences: None,
+        ..config
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -227,13 +243,16 @@ proptest! {
     }
 
     /// A warm oracle must not change any report: memoized source outcomes
-    /// are observationally identical to re-interpreting the source.
+    /// are observationally identical to re-interpreting the source, for
+    /// memo keys of any length.
     #[test]
     fn warm_oracle_reports_match_cold_runs(
         source_shape in shape_strategy(),
         target_shape in shape_strategy(),
         config in config_strategy(),
+        depth in 0usize..3,
     ) {
+        let config = deepened(config, depth);
         let schema = schema();
         let source = build_program(&source_shape);
         let target = build_program(&target_shape);
@@ -241,6 +260,9 @@ proptest! {
         let cold: EquivalenceReport = compare_with_oracle(&oracle, &target, &schema, &config);
         let warm = compare_with_oracle(&oracle, &target, &schema, &config);
         prop_assert_eq!(&cold, &warm);
+        // The source against itself walks the whole bound, so the memo then
+        // holds sequences of every length up to `max_updates + 1` calls.
+        prop_assert!(compare_with_oracle(&oracle, &source, &schema, &config).equivalent);
         // And against a sibling candidate, the shared cache stays sound.
         let sibling = build_program(&ProgramShape { projection: target_shape.projection.wrapping_add(1), ..target_shape.clone() });
         let with_shared_cache = compare_with_oracle(&oracle, &sibling, &schema, &config);

@@ -500,8 +500,18 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
 
+    /// Serializes every test that sets the global thread limit or borrows
+    /// worker tokens from the global budget. A fan-out running beside a test
+    /// that reserves tokens can hold the only spare one (at limit 2) and
+    /// make the reservation fail, so fanning out counts as using the budget.
+    fn limit_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn par_map_preserves_order() {
+        let _guard = limit_lock();
         let items: Vec<usize> = (0..100).collect();
         let doubled = par_map(&items, |_, &x| x * 2);
         assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
@@ -509,6 +519,7 @@ mod tests {
 
     #[test]
     fn stop_contract_every_prefix_result_present() {
+        let _guard = limit_lock();
         // Task 37 stops; every result below 37 must be present.
         for _ in 0..20 {
             let items: Vec<usize> = (0..80).collect();
@@ -526,6 +537,7 @@ mod tests {
 
     #[test]
     fn lowest_stopping_index_wins() {
+        let _guard = limit_lock();
         // Several stopping indices: the merged winner must be the lowest,
         // and everything below it must be present.
         for _ in 0..20 {
@@ -541,14 +553,6 @@ mod tests {
             }
             assert_eq!(merged, Some(5));
         }
-    }
-
-    /// Serializes tests that mutate the global thread limit, so they cannot
-    /// observe each other's settings when the test harness runs them in
-    /// parallel.
-    fn limit_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     #[test]
@@ -573,6 +577,7 @@ mod tests {
 
     #[test]
     fn nested_calls_do_not_deadlock() {
+        let _guard = limit_lock();
         let items: Vec<usize> = (0..8).collect();
         let totals = par_map(&items, |_, &x| {
             let inner: Vec<usize> = (0..8).map(|y| x * 8 + y).collect();
@@ -586,6 +591,7 @@ mod tests {
 
     #[test]
     fn cancellation_is_observable_after_a_lower_stop() {
+        let _guard = limit_lock();
         // A task polling `cancelled` sees the signal once a lower index
         // stopped. (Scheduling-dependent, so only assert the invariant: a
         // cancelled index is always above a stopping one.)
