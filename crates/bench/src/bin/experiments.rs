@@ -28,8 +28,8 @@
 //! *deterministic* columns — the allowlists
 //! [`bench::DETERMINISTIC_TOP_FIELDS`] and
 //! [`bench::DETERMINISTIC_PHASE_FIELDS`], plus the success and validation
-//! flags — match the committed trajectory file (wall time, thread count and
-//! snapshot/oracle/allocation counters are machine- or
+//! flags — match the committed trajectory file (wall time, thread count,
+//! oracle hits and the allocation proxies are machine- or
 //! scheduling-dependent and excluded). Mismatches are reported field by
 //! field in a `### Mismatches` section (expected vs measured) with a
 //! one-line summary count on stderr. `--only` is repeatable. Exits non-zero
@@ -412,7 +412,7 @@ fn check(options: &Options) {
         let top = |key: &str| expected.get(key).and_then(|v| v.as_i128());
         // Deterministic counters nested under `phases` are part of the
         // trajectory contract too — exactly the allowlisted ones; the other
-        // phase fields are wall-clock or scheduling-dependent by design.
+        // phase fields are wall-clock by design.
         let phase = |key: &str| {
             expected
                 .get("phases")

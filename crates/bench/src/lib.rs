@@ -53,9 +53,9 @@ pub type DeterministicField<T> = (&'static str, fn(&T) -> i128);
 
 /// The deterministic trajectory contract: the top-level `BENCH_results.json`
 /// fields `experiments check` compares against a fresh run, with their
-/// extractors. Everything not listed here (wall time, snapshot and
-/// oracle-hit counters, interner sizes) is machine- or scheduling-dependent
-/// and deliberately excluded.
+/// extractors. Everything not listed here (wall time, oracle-hit counters,
+/// interner sizes, the process-wide snapshot peak) is machine- or
+/// scheduling-dependent and deliberately excluded.
 pub const DETERMINISTIC_TOP_FIELDS: &[DeterministicField<Table1Row>] = &[
     ("value_correspondences", |row| row.value_corr as i128),
     ("iterations", |row| row.iters as i128),
@@ -75,6 +75,8 @@ pub const DETERMINISTIC_PHASE_FIELDS: &[DeterministicField<migrator::PhaseBreakd
     ("prefix_cache_hits", |p| p.prefix_cache_hits as i128),
     ("undo_frames", |p| p.undo_frames as i128),
     ("undo_ops_rolled_back", |p| p.undo_ops_rolled_back as i128),
+    ("snapshots_taken", |p| p.snapshots_taken as i128),
+    ("snapshot_bytes_copied", |p| p.snapshot_bytes_copied as i128),
 ];
 
 /// The CEGIS (Sketch stand-in) configuration used in Table 2 runs.

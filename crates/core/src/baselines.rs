@@ -21,7 +21,7 @@ use dbir::{Program, Schema};
 
 use crate::completion::{complete_sketch, BlockingStrategy, CompletionControls, CompletionOutcome};
 use crate::sketch::Sketch;
-use crate::verify::{check_candidate_with_oracle, CheckOutcome};
+use crate::verify::{check_candidate_cached, CheckOutcome};
 
 /// Solves a sketch with full-model blocking (the Table 3 baseline).
 #[allow(clippy::too_many_arguments)]
@@ -160,11 +160,14 @@ pub fn solve_cegis(
                 &observe(&candidate, target_schema, sequence) != expected
             });
             if !screened_out && candidate.validate(target_schema).is_ok() {
-                match check_candidate_with_oracle(
+                match check_candidate_cached(
                     &oracle,
                     &candidate,
                     target_schema,
                     &config.testing,
+                    None,
+                    None,
+                    None,
                 ) {
                     CheckOutcome::Equivalent { .. } => {
                         return CegisOutcome {

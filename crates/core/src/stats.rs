@@ -75,23 +75,21 @@ impl SynthesisStats {
 ///
 /// * **Deterministic counters** — `sat_blocking_clauses`, `plans_compiled`,
 ///   `solver_reuses`, `learned_clauses_kept`, `prefix_cache_hits`,
-///   `undo_frames` and `undo_ops_rolled_back` are merged from the winning
-///   trajectory in enumeration order, so they are byte-identical at any
-///   thread count (the same contract as the synthesis event log). The
-///   incremental-solver counters are deterministic because candidate
-///   speculation *always* runs — [`parpool::join`] degrades to sequential
-///   execution rather than skipping the probe — so the solver sees the same
-///   call sequence at any thread budget; prefix-cache resolution and plan
-///   compilation happen at sequential points of each check, through the
-///   sketch's own prefix cache, so hit and compile counts are a pure
-///   function of the sketch's candidate sequence; the undo-log counters
-///   are deterministic
-///   because every production check runs prefix-cached, whose per-root walk
-///   work is merged in root order (see [`CheckProfile`]).
-/// * **Scheduling-dependent diagnostics** — `snapshots_taken` and
-///   `snapshot_bytes_copied` grow with the thread count (parallel stub
-///   tasks replay their prefixes), and every `*_time` field is wall-clock.
-///   None of these may be compared across runs.
+///   `undo_frames`, `undo_ops_rolled_back`, `snapshots_taken` and
+///   `snapshot_bytes_copied` are merged from the winning trajectory in
+///   enumeration order, so they are byte-identical at any thread count (the
+///   same contract as the synthesis event log). The incremental-solver
+///   counters are deterministic because candidate speculation *always*
+///   runs — [`parpool::join`] degrades to sequential execution rather than
+///   skipping the probe — so the solver sees the same call sequence at any
+///   thread budget; prefix-cache resolution and plan compilation happen at
+///   sequential points of each check, through the sketch's own prefix
+///   cache, so hit and compile counts are a pure function of the sketch's
+///   candidate sequence; the snapshot and undo-log counters are
+///   deterministic because each check's per-root walk work is merged in
+///   root order (see [`CheckProfile`]).
+/// * **Wall-clock timings** — every `*_time` field. None of these may be
+///   compared across runs.
 ///
 /// The time fields are not disjoint: `plan_compile_time`, `snapshot_time`
 /// and `oracle_time` all nest inside `bounded_testing_time`, which itself
@@ -139,10 +137,10 @@ pub struct PhaseBreakdown {
     /// (deterministic).
     pub undo_ops_rolled_back: u64,
     /// Instance snapshots cloned — COW-cheap pointer copies
-    /// (scheduling-dependent).
+    /// (deterministic).
     pub snapshots_taken: u64,
     /// Heap bytes physically copied for snapshots: clone overhead plus
-    /// copy-on-write table copies (scheduling-dependent).
+    /// copy-on-write table copies (deterministic).
     pub snapshot_bytes_copied: u64,
 }
 

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use dbir::{Program, Schema};
 
-use dbir::equiv::{CheckProfile, PrefixCache, SourceOracle};
+use dbir::equiv::{CheckProfile, SourceOracle};
 use parpool::{CancelReason, CancelToken};
 
 use crate::completion::{complete_sketch, BlockingStrategy, CompletionControls};
@@ -409,12 +409,6 @@ impl Synthesizer {
                     // for the Mediator equivalence proof; see DESIGN.md).
                     let verification_start = Instant::now();
                     let mut final_profile = CheckProfile::default();
-                    // A fresh per-pass prefix cache: the deeper verification
-                    // bound shares levels 1–2 within its own walk, and — the
-                    // determinism contract — a cached check's undo-log
-                    // counters are byte-identical at any thread count, which
-                    // the uncached stub-partitioned path is not.
-                    let mut verification_cache = PrefixCache::new();
                     let verified = check_candidate_cached(
                         &oracle,
                         &program,
@@ -422,7 +416,7 @@ impl Synthesizer {
                         &self.config.verification,
                         Some(token),
                         Some(&mut final_profile),
-                        Some(&mut verification_cache),
+                        None,
                     );
                     stats.verification_time = verification_start.elapsed();
                     stats.phases.absorb_check(&final_profile);

@@ -9,8 +9,7 @@
 //! synthesis time.
 
 use dbir::equiv::{
-    compare_with_oracle_profiled, CheckProfile, EquivalenceReport, PrefixCache, SourceOracle,
-    TestConfig,
+    compare_with_oracle, CheckProfile, EquivalenceReport, PrefixCache, SourceOracle, TestConfig,
 };
 use dbir::{InvocationSequence, Program, Schema};
 use parpool::CancelToken;
@@ -80,9 +79,8 @@ impl CheckOutcome {
 /// failing input when the programs disagree.
 ///
 /// Builds a throwaway [`SourceOracle`] internally; callers checking many
-/// candidates against one source should use
-/// [`check_candidate_with_oracle`] so the source side is interpreted once
-/// per sequence across the whole run.
+/// candidates against one source should use [`check_candidate_cached`] so
+/// the source side is interpreted once per sequence across the whole run.
 pub fn check_candidate(
     source: &Program,
     source_schema: &Schema,
@@ -91,64 +89,22 @@ pub fn check_candidate(
     config: &TestConfig,
 ) -> CheckOutcome {
     let oracle = SourceOracle::new(source, source_schema);
-    check_candidate_with_oracle(&oracle, candidate, target_schema, config)
+    check_candidate_cached(&oracle, candidate, target_schema, config, None, None, None)
 }
 
-/// Like [`check_candidate`], but reuses (and fills) a memoized source
-/// oracle shared across the candidates — and worker threads — of a
-/// synthesis run.
-pub fn check_candidate_with_oracle(
-    oracle: &SourceOracle<'_>,
-    candidate: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-) -> CheckOutcome {
-    check_candidate_cancel(oracle, candidate, target_schema, config, None)
-}
-
-/// Like [`check_candidate_with_oracle`], but polls `cancel` inside the
-/// bounded-testing walk and returns [`CheckOutcome::Cancelled`] when the
-/// token fires mid-check. With `cancel` absent the behaviour is identical.
-pub fn check_candidate_cancel(
-    oracle: &SourceOracle<'_>,
-    candidate: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-    cancel: Option<&CancelToken>,
-) -> CheckOutcome {
-    check_candidate_profiled(oracle, candidate, target_schema, config, cancel, None)
-}
-
-/// Like [`check_candidate_cancel`], but additionally fills `profile` with
-/// the check's per-phase accounting (plan compilation, DFS walk, snapshot
-/// copying) when one is supplied. With `profile` absent the behaviour and
-/// cost are identical.
-pub fn check_candidate_profiled(
-    oracle: &SourceOracle<'_>,
-    candidate: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-    cancel: Option<&CancelToken>,
-    profile: Option<&mut CheckProfile>,
-) -> CheckOutcome {
-    check_candidate_cached(
-        oracle,
-        candidate,
-        target_schema,
-        config,
-        cancel,
-        profile,
-        None,
-    )
-}
-
-/// Like [`check_candidate_profiled`], but additionally shares compiled
-/// plans and executed update-prefix states across candidates through
-/// `cache` when one is supplied. The verdict and every reported count are identical with or
-/// without the cache — only which update executions are skipped changes —
-/// so passing the same cache to the bounded-testing and verification
-/// checks of one sketch is sound and lets verification reuse the prefixes
-/// testing already executed.
+/// Checks a candidate against the source program `oracle` holds, reusing
+/// (and filling) the oracle's memo shared across the candidates — and
+/// worker threads — of a synthesis run.
+///
+/// The optional arguments are those of [`compare_with_oracle`]: `cancel`
+/// is polled inside the walk and turns the outcome into
+/// [`CheckOutcome::Cancelled`] when it fires; `profile` receives the
+/// check's per-phase accounting; `cache` shares compiled plans and executed
+/// update-prefix states across candidates. The verdict and every reported
+/// count are identical with or without the cache — only which update
+/// executions are skipped changes — so passing the same cache to the
+/// bounded-testing and verification checks of one sketch is sound and lets
+/// verification reuse the prefixes testing already executed.
 #[allow(clippy::too_many_arguments)]
 pub fn check_candidate_cached(
     oracle: &SourceOracle<'_>,
@@ -165,7 +121,7 @@ pub fn check_candidate_cached(
         sequences_tested,
         bound_exhausted,
         cancelled,
-    } = compare_with_oracle_profiled(
+    } = compare_with_oracle(
         oracle,
         candidate,
         target_schema,

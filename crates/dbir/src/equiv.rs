@@ -8,20 +8,21 @@
 //!
 //! This module implements that procedure twice:
 //!
-//! * [`compare_programs`] — the production engine. It walks the tree of
-//!   update-call prefixes depth-first with **in-place backtracking**: each
-//!   side keeps one working [`Instance`], update calls execute directly on
-//!   it while recording their inverses in an undo-log [`Journal`], and
-//!   backtracking rolls the journal back instead of restoring a cloned
-//!   snapshot. Each update call in the tree is thus executed **once**
-//!   instead of once per sequence that extends it — `O(kᴸ)` update
-//!   executions instead of the naive `O(L·kᴸ·|Q|)` — and, unlike the
-//!   earlier snapshot-per-node engine, without deep-cloning the instance at
-//!   every node. True snapshots survive only where a state must outlive the
-//!   walk ([`PrefixCache`] entries, parallel stub-replay roots), and those
-//!   are cheap because [`Instance`] is copy-on-write: cloning bumps
-//!   per-table `Arc`s, and only the first mutation of a shared table pays a
-//!   physical copy. Sequences are still enumerated depth-by-depth
+//! * [`compare_with_oracle`] (and its convenience form [`compare_programs`])
+//!   — the production engine, and the one walk every check runs. It walks
+//!   the tree of update-call prefixes depth-first with **in-place
+//!   backtracking**: each side keeps one working [`Instance`], update calls
+//!   execute directly on it while recording their inverses in an undo-log
+//!   [`Journal`], and backtracking rolls the journal back instead of
+//!   restoring a cloned snapshot. Each update call in the tree is thus
+//!   executed **once** instead of once per sequence that extends it —
+//!   `O(kᴸ)` update executions instead of the naive `O(L·kᴸ·|Q|)` — and
+//!   without deep-cloning the instance at every node. The first two levels
+//!   of the tree are resolved through a [`PrefixCache`] (the caller's, or a
+//!   check-local one), whose entries are the only snapshots that outlive
+//!   the walk. They are cheap because [`Instance`] is copy-on-write: cloning
+//!   bumps per-table `Arc`s, and only the first mutation of a shared table
+//!   pays a physical copy. Sequences are still enumerated depth-by-depth
 //!   (iterative deepening), so the first counterexample remains a minimum
 //!   failing input. Prefixes on which *both* programs have already failed
 //!   are counted arithmetically and never descended — every sequence
@@ -51,20 +52,21 @@
 //! compiled by the sketch's first check; a later check compiles only the
 //! target calls of function bodies no earlier check of the sketch has seen.
 //!
-//! The prefix-shared walk itself is parallel: within one (query plan, depth)
-//! subtree, the tree is partitioned into update-call *stub prefixes* whose
-//! subtrees are searched by worker threads (budgeted by the in-tree
-//! [`parpool`] shim). Determinism is preserved by construction — stub
-//! subtrees are merged in enumeration order and the **lowest-index**
-//! counterexample wins, so the reported counterexample and the
-//! `sequences_tested` count are byte-identical to the single-threaded
-//! trajectory at any thread count. When [`TestConfig::max_sequences`] is set
-//! the engine stays sequential (the cap is a global budget that cannot be
-//! split without changing what it measures), and tiny subtrees are searched
-//! inline because fork-join overhead would dominate.
+//! The walk itself is parallel: within one (query plan, depth) subtree, the
+//! subtrees below the prefixes resolved at the cache depth (the *roots*)
+//! are searched by worker threads (budgeted by the in-tree [`parpool`]
+//! shim). Determinism is preserved by construction — root subtrees are
+//! merged in enumeration order and the **lowest-index** counterexample wins,
+//! and every root's work is a pure function of the candidate — so the
+//! reported counterexample, `sequences_tested` and every counter of the
+//! [`CheckProfile`] are byte-identical to the single-threaded trajectory at
+//! any thread count. When [`TestConfig::max_sequences`] is set the engine
+//! stays sequential (the cap is a global budget that cannot be split without
+//! changing what it measures), and tiny subtrees are searched inline because
+//! fork-join overhead would dominate.
 //!
-//! **Undo-log correctness.** The in-place walk is equivalent to the
-//! snapshot walk because (a) the journaled executor
+//! **Undo-log correctness.** The in-place walk is equivalent to a
+//! clone-per-node walk because (a) the journaled executor
 //! (`exec_update_plan_journaled`) performs byte-for-byte the same
 //! mutations, in the same order, with the same error occurrences, as the
 //! plain executor it mirrors — it only *additionally* records inverses —
@@ -233,36 +235,32 @@ pub struct EquivalenceReport {
     /// early by design).
     pub bound_exhausted: bool,
     /// `true` if the check was abandoned because the caller's
-    /// [`CancelToken`] fired (see [`compare_with_oracle_cancel`]). A
-    /// cancelled report carries **no verdict**: `equivalent` is `false` and
+    /// [`CancelToken`] fired (see [`compare_with_oracle`]). A cancelled
+    /// report carries **no verdict**: `equivalent` is `false` and
     /// `counterexample` is `None`, and `sequences_tested` reflects only the
-    /// work done before the interruption. Always `false` for the
-    /// non-cancellable entry points.
+    /// work done before the interruption. Always `false` for a check run
+    /// without a token.
     pub cancelled: bool,
 }
 
 /// Per-check phase accounting for one bounded equivalence check, filled by
-/// [`compare_with_oracle_profiled`].
+/// [`compare_with_oracle`].
 ///
 /// The profile travels *next to* the [`EquivalenceReport`], never inside it:
 /// the report is compared structurally by the engine-differential tests and
 /// must stay free of wall-clock noise.
 ///
-/// Determinism: `plans_compiled` is identical at any thread count. Plans
-/// are compiled on the check's calling thread before the parallel walk and
-/// memoized in the check's [`PrefixCache`], so the count depends only on
-/// the checks that shared that cache before.
-/// `snapshots_taken` and `snapshot_bytes_copied` are **scheduling-dependent**
-/// on the uncached path — parallel stub tasks replay their stub prefixes
-/// from the empty roots, so higher thread counts take strictly more
-/// snapshots. `undo_frames` and `undo_ops_rolled_back` are deterministic
-/// whenever a [`PrefixCache`] is supplied (every production path): the
-/// walk's per-root work is a pure function of the candidate, and the
+/// Determinism: every counter is identical at any thread count. Plans are
+/// compiled and prefix states resolved on the check's calling thread before
+/// the parallel walk, through the check's [`PrefixCache`], so
+/// `plans_compiled` and `prefix_cache_hits` depend only on the checks that
+/// shared that cache before. Below the resolved roots each root's walk —
+/// its one detaching snapshot, its copy-on-write copies, its journal frames
+/// and rollbacks — is a pure function of the candidate, and the
 /// index-ordered merge absorbs exactly the roots the sequential walk would
-/// have visited. On the uncached stub-partitioned path they inherit the
-/// snapshot counters' scheduling dependence. All `*_time` fields are
-/// wall-clock. Only thread-count-independent counters may be compared
-/// across runs.
+/// have visited, so `snapshots_taken`, `snapshot_bytes_copied`,
+/// `undo_frames` and `undo_ops_rolled_back` are too. All `*_time` fields
+/// are wall-clock and may not be compared across runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckProfile {
     /// Time spent preparing the check: interning its calls and function
@@ -276,27 +274,26 @@ pub struct CheckProfile {
     /// Time spent cloning instance snapshots inside the walk. COW clones
     /// only — the in-place walk takes no per-node clones.
     pub snapshot_time: Duration,
-    /// Number of instance snapshots cloned (scheduling-dependent on the
-    /// uncached path). Snapshots are COW-cheap: the physical cost is in
-    /// `snapshot_bytes_copied`, not in this count.
+    /// Number of instance snapshots cloned. Snapshots are COW-cheap: the
+    /// physical cost is in `snapshot_bytes_copied`, not in this count.
     pub snapshots_taken: u64,
     /// Heap bytes **physically copied** for snapshots: per-clone pointer
     /// overhead plus the copy-on-write table copies triggered by mutating a
     /// shared instance. (Before the COW representation this field counted
     /// the full logical heap of every clone.)
     pub snapshot_bytes_copied: u64,
-    /// Update-prefix states served from the cross-candidate [`PrefixCache`]
-    /// instead of re-executed. Deterministic at any thread count: every
-    /// lookup happens on the check's calling thread, between parallel
-    /// sections (see [`PrefixCache`]).
+    /// Update-prefix states served from the check's [`PrefixCache`] instead
+    /// of re-executed: states an earlier check through a shared cache
+    /// executed, and states an earlier depth of this check executed.
+    /// Deterministic at any thread count: every lookup happens on the
+    /// check's calling thread, between parallel sections (see
+    /// [`PrefixCache`]).
     pub prefix_cache_hits: u64,
     /// Update calls executed in place with their inverses journaled (one
-    /// frame per journaled execution). Deterministic at any thread count
-    /// when a [`PrefixCache`] is supplied.
+    /// frame per journaled execution).
     pub undo_frames: u64,
     /// Row-level inverse operations replayed while backtracking (rows
-    /// un-pushed, rows re-inserted, cells restored). Deterministic under
-    /// the same condition as `undo_frames`.
+    /// un-pushed, rows re-inserted, cells restored).
     pub undo_ops_rolled_back: u64,
 }
 
@@ -737,29 +734,16 @@ fn relevant_updates<'p>(
         .collect()
 }
 
-/// Searches for a **minimum failing input** distinguishing `source` (over
-/// `source_schema`) from `target` (over `target_schema`).
+/// Runs the bounded equivalence check of `target` (over `target_schema`)
+/// against `source` (over `source_schema`) and reports the outcome together
+/// with the number of sequences executed.
 ///
-/// Sequences are enumerated in increasing number of update calls, so the
-/// first counterexample returned has minimal length among all sequences
-/// expressible with the configured seed constants.
+/// Sequences are enumerated in increasing number of update calls, so a
+/// reported counterexample is a **minimum failing input**: it has minimal
+/// length among all sequences expressible with the configured seed
+/// constants.
 ///
-/// Returns `None` if the two programs agree on every sequence within the
-/// bound.
-pub fn find_failing_input(
-    source: &Program,
-    source_schema: &Schema,
-    target: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-) -> Option<InvocationSequence> {
-    compare_programs(source, source_schema, target, target_schema, config).counterexample
-}
-
-/// Runs the bounded equivalence check and reports the outcome together with
-/// the number of sequences executed.
-///
-/// This is the prefix-shared engine (see the module documentation); it
+/// This is [`compare_with_oracle`] with a throwaway [`SourceOracle`]; it
 /// produces reports identical to [`compare_programs_naive`].
 pub fn compare_programs(
     source: &Program,
@@ -769,7 +753,7 @@ pub fn compare_programs(
     config: &TestConfig,
 ) -> EquivalenceReport {
     let oracle = SourceOracle::new(source, source_schema);
-    compare_with_oracle(&oracle, target, target_schema, config)
+    compare_with_oracle(&oracle, target, target_schema, config, None, None, None)
 }
 
 /// High-water mark (bytes) of the largest single **physical copy** performed
@@ -833,14 +817,14 @@ const PREFIX_CACHE_CAPACITY: usize = 1 << 17;
 ///   instead of re-running them from the empty instance.
 ///
 /// A cache belongs to one [`SourceOracle`] (its call ids) and one target
-/// schema (its plans), as a sketch run does. A check without a cache
-/// compiles through a check-local one and shares no prefix states.
+/// schema (its plans), as a sketch run does. A check given no cache runs
+/// through a check-local one, which shares prefix states only between the
+/// depths of that check's own walk.
 ///
 /// All access is sequential: the cache is handed down as `&mut` and
 /// consulted only on the check's calling thread, between parallel sections
-/// (see [`compare_with_oracle_profiled`]). [`PrefixCache::hits`] and the
-/// number of plans compiled are therefore byte-identical at any thread
-/// count, unlike the scheduling-dependent snapshot counters.
+/// (see [`compare_with_oracle`]). [`PrefixCache::hits`] and the number of
+/// plans compiled are therefore byte-identical at any thread count.
 #[derive(Debug, Default)]
 pub struct PrefixCache {
     /// Interned function bodies: pretty-printed text → id. Two functions
@@ -1056,7 +1040,7 @@ enum Search {
     /// The caller's [`CancelToken`] fired mid-subtree; the walk unwound
     /// without a verdict.
     Cancelled,
-    /// A parallel stub task bailed out because a lower-index stub already
+    /// A parallel root task bailed out because a lower-index root already
     /// holds a stopping result (a counterexample or a token cancellation).
     /// Never observed by the index-ordered merge: an abort implies a
     /// stopping result at a strictly lower index, so the merge returns
@@ -1145,46 +1129,27 @@ fn prepare_query(program: &Program, schema: &Schema, call: &Call) -> PreparedQue
     }
 }
 
-/// Like [`compare_programs`], but reads (and fills) `oracle` for the source
-/// side, so repeated checks against the same source — the shape of every
-/// synthesis run — interpret each sequence on the source at most once.
+/// Runs the bounded equivalence check of `target` against the source
+/// program `oracle` holds, reading (and filling) the oracle's memo for the
+/// source side, so repeated checks against the same source — the shape of
+/// every synthesis run — interpret each sequence on the source at most
+/// once.
+///
+/// * `cancel` is polled at safe points of the walk (between subtrees and
+///   every few hundred sequences inside one); when it fires the report
+///   comes back with [`EquivalenceReport::cancelled`] set.
+/// * `profile`, when supplied, receives the check's per-phase accounting
+///   (plan compilation, tree walk, snapshot copying). Without one the check
+///   takes no extra clock reads.
+/// * `cache`, when supplied, shares compiled plans and executed
+///   update-prefix states with the other checks that pass it; without one
+///   the check runs through a check-local cache.
+///
+/// None of the three changes *what* is reported — the counterexample,
+/// `sequences_tested` and `bound_exhausted` are the same with or without
+/// them, and with a token that never fires; a cache changes only which
+/// update executions are skipped.
 pub fn compare_with_oracle(
-    oracle: &SourceOracle<'_>,
-    target: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-) -> EquivalenceReport {
-    compare_with_oracle_cancel(oracle, target, target_schema, config, None)
-}
-
-/// Like [`compare_with_oracle`], but polls `cancel` at safe points of the
-/// walk (between subtrees and every few hundred sequences inside one) and
-/// returns a report with [`EquivalenceReport::cancelled`] set when the token
-/// fires. With `cancel` absent (or a token that never fires) the behaviour —
-/// including every reported count — is identical to
-/// [`compare_with_oracle`].
-pub fn compare_with_oracle_cancel(
-    oracle: &SourceOracle<'_>,
-    target: &Program,
-    target_schema: &Schema,
-    config: &TestConfig,
-    cancel: Option<&CancelToken>,
-) -> EquivalenceReport {
-    compare_with_oracle_profiled(oracle, target, target_schema, config, cancel, None, None)
-}
-
-/// Like [`compare_with_oracle_cancel`], but additionally fills `profile`
-/// with per-phase accounting (plan compilation, tree walk, snapshot
-/// copying) when one is supplied, and shares compiled plans and executed
-/// update-prefix states across checks through `cache` when one is supplied
-/// (without one, the check compiles through a check-local cache and shares
-/// no prefix states). With both absent the
-/// check takes no extra clock reads and the behaviour — including every
-/// reported count — is identical to [`compare_with_oracle_cancel`]; with a
-/// cache, *what* is reported (counterexample, `sequences_tested`,
-/// `bound_exhausted`) is still identical — only which update executions are
-/// skipped changes.
-pub fn compare_with_oracle_profiled(
     oracle: &SourceOracle<'_>,
     target: &Program,
     target_schema: &Schema,
@@ -1195,20 +1160,16 @@ pub fn compare_with_oracle_profiled(
 ) -> EquivalenceReport {
     let timed = profile.is_some();
     let compile_start = timed.then(Instant::now);
-    // One compile path: without a caller's cache the check memoizes its
-    // plans in a check-local one, and shares no prefix states through it.
-    let share_prefixes = cache.is_some();
     let mut local = PrefixCache::new();
     let cache = cache.unwrap_or(&mut local);
     let compiled_before = cache.plans_compiled;
+    let hits_before = cache.hits();
     let plans = build_plans(oracle.program(), target, config);
     let prepared = cache.prepare(oracle, target, target_schema, &plans);
     if let (Some(profile), Some(start)) = (profile.as_deref_mut(), compile_start) {
         profile.plan_compile_time += start.elapsed();
         profile.plans_compiled += cache.plans_compiled - compiled_before;
     }
-    let mut cache = share_prefixes.then_some(cache);
-    let hits_before = cache.as_deref().map(PrefixCache::hits);
     let mut snap = SnapStats {
         timed,
         ..SnapStats::default()
@@ -1252,7 +1213,7 @@ pub fn compare_with_oracle_profiled(
                     &mut sequences_tested,
                     cancel,
                     &mut snap,
-                    cache.as_deref_mut(),
+                    cache,
                 ) {
                     Search::Exhausted => {}
                     Search::Counterexample(sequence) => {
@@ -1274,7 +1235,7 @@ pub fn compare_with_oracle_profiled(
                         }
                     }
                     Search::Cancelled => return cancelled_report(sequences_tested),
-                    Search::Aborted => unreachable!("merge stops before aborted stubs"),
+                    Search::Aborted => unreachable!("merge stops before aborted roots"),
                 }
             }
         }
@@ -1298,9 +1259,7 @@ pub fn compare_with_oracle_profiled(
         profile.snapshot_bytes_copied += snap.bytes;
         profile.undo_frames += snap.frames;
         profile.undo_ops_rolled_back += snap.undone;
-        if let (Some(cache), Some(before)) = (cache.as_deref(), hits_before) {
-            profile.prefix_cache_hits += cache.hits() - before;
-        }
+        profile.prefix_cache_hits += cache.hits() - hits_before;
     }
     report
 }
@@ -1309,173 +1268,11 @@ pub fn compare_with_oracle_profiled(
 /// worth fork-join overhead; below it the subtree is searched inline.
 const PARALLEL_LEAF_THRESHOLD: u128 = 4096;
 
+/// One resolved root of a (plan, length) subtree: the update-call path to
+/// it and both sides' states after that path.
+type Root = (Vec<usize>, Arc<ExecState>, Arc<ExecState>);
+
 /// Searches one (plan, length) subtree, in parallel when profitable.
-///
-/// The parallel split partitions the subtree by update-call *stubs* — the
-/// first `d` levels of the prefix, enumerated in lexicographic order, which
-/// is exactly the order the sequential DFS visits them. Each stub task
-/// replays its stub from the empty roots (re-executing at most `d` updates
-/// that the sequential walk would have shared — bounded waste, chosen so
-/// there are enough tasks to load the thread budget) and then runs the
-/// ordinary prefix-shared walk below it with a private sequence counter.
-/// Merging task results in stub order and stopping at the first
-/// counterexample reproduces the sequential outcome *and* count exactly:
-/// stubs before the winner contribute their full subtree counts, the winner
-/// contributes its count up to the counterexample, and later stubs — which
-/// the sequential walk never reached — are discarded unread.
-#[allow(clippy::too_many_arguments)]
-fn search_plan(
-    oracle: &SourceOracle<'_>,
-    target_schema: &Schema,
-    plan: &QueryPlan,
-    prep: &PreparedPlan,
-    config: &TestConfig,
-    length: usize,
-    sequences_tested: &mut usize,
-    token: Option<&CancelToken>,
-    snap: &mut SnapStats,
-    cache: Option<&mut PrefixCache>,
-) -> Search {
-    if let Some(cache) = cache {
-        return search_plan_prefix_cached(
-            oracle,
-            target_schema,
-            plan,
-            prep,
-            config,
-            length,
-            sequences_tested,
-            token,
-            snap,
-            cache,
-        );
-    }
-    let source_schema = oracle.schema();
-    let fanout = plan.update_calls.len();
-    let workers = parpool::thread_limit();
-    let leaves_estimate = (fanout as u128)
-        .saturating_pow(length as u32)
-        .saturating_mul(plan.query_calls.len() as u128);
-    // The sequence cap is a single global budget: splitting it across
-    // workers would change which sequence exhausts it, so capped checks run
-    // sequentially (they are bounded by construction anyway).
-    let parallel = config.max_sequences.is_none()
-        && length >= 1
-        && fanout >= 2
-        && workers > 1
-        && leaves_estimate >= PARALLEL_LEAF_THRESHOLD;
-
-    if !parallel {
-        let mut dfs = Dfs {
-            oracle,
-            plan,
-            prep,
-            cap: config.max_sequences,
-            sequences_tested,
-            node: Some(ROOT),
-            path: Vec::with_capacity(length),
-            cancel: None,
-            token,
-            polls: 0,
-            snap: snap.fresh(),
-            src: WorkState::fresh(source_schema),
-            tgt: WorkState::fresh(target_schema),
-        };
-        let result = dfs.walk(length);
-        fold_snapshot_peak(dfs.snap.peak);
-        snap.absorb(&dfs.snap);
-        return result;
-    }
-
-    // Deepen the stub until there are enough tasks to load the budget (or
-    // we run out of levels), but never so many that per-stub replay
-    // overhead dominates.
-    let mut stub_depth = 1usize;
-    while stub_depth < length
-        && (fanout as u128).saturating_pow(stub_depth as u32) < 4 * workers as u128
-    {
-        stub_depth += 1;
-    }
-    while stub_depth > 1 && (fanout as u128).saturating_pow(stub_depth as u32) > 4096 {
-        stub_depth -= 1;
-    }
-    let stub_count = fanout.pow(stub_depth as u32);
-    let stubs: Vec<usize> = (0..stub_count).collect();
-    let timed = snap.timed;
-
-    let results = parpool::par_map_stop(
-        &stubs,
-        |task_index, &stub, ctx| {
-            // Decode the stub number into update-call indices, most
-            // significant digit first, so numeric stub order is the
-            // lexicographic (sequential DFS) order.
-            let mut digits = vec![0usize; stub_depth];
-            let mut rem = stub;
-            for slot in digits.iter_mut().rev() {
-                *slot = rem % fanout;
-                rem /= fanout;
-            }
-            let mut src = ExecState::Live(Instance::empty(source_schema), 0);
-            let mut tgt = ExecState::Live(Instance::empty(target_schema), 0);
-            let mut path = Vec::with_capacity(length);
-            let mut stub_snap = SnapStats {
-                timed,
-                ..SnapStats::default()
-            };
-            for &i in &digits {
-                src = apply_update(&prep.src_updates[i], &src, &mut stub_snap);
-                tgt = apply_update(&prep.tgt_updates[i], &tgt, &mut stub_snap);
-                path.push(i);
-            }
-            let src_work = WorkState::from_snapshot(&src, source_schema);
-            let tgt_work = WorkState::from_snapshot(&tgt, target_schema);
-            let mut count = 0usize;
-            let mut dfs = Dfs {
-                oracle,
-                plan,
-                prep,
-                cap: None,
-                sequences_tested: &mut count,
-                node: oracle.prefix_node(digits.iter().map(|&i| prep.update_ids[i])),
-                path,
-                cancel: Some((ctx, task_index)),
-                token,
-                polls: 0,
-                snap: stub_snap,
-                src: src_work,
-                tgt: tgt_work,
-            };
-            let search = dfs.walk(length - stub_depth);
-            fold_snapshot_peak(dfs.snap.peak);
-            let stub_snap = dfs.snap;
-            drop(dfs); // release the borrow of `count`
-            (search, count, stub_snap)
-        },
-        // A token cancellation is a stopping result too: it makes the whole
-        // check moot, so still-queued stubs are skipped instead of started.
-        |(search, _, _)| matches!(search, Search::Counterexample(_) | Search::Cancelled),
-    );
-
-    // Index-ordered merge: byte-identical to the sequential left-to-right
-    // walk with early exit (see the parpool stop contract).
-    for result in results {
-        let Some((search, count, stub_snap)) = result else {
-            break;
-        };
-        *sequences_tested += count;
-        snap.absorb(&stub_snap);
-        match search {
-            Search::Exhausted => {}
-            Search::Counterexample(sequence) => return Search::Counterexample(sequence),
-            Search::CapHit => unreachable!("stub tasks run uncapped"),
-            Search::Cancelled => return Search::Cancelled,
-            Search::Aborted => unreachable!("merge stops before aborted stubs"),
-        }
-    }
-    Search::Exhausted
-}
-
-/// [`search_plan`] with cross-candidate prefix sharing.
 ///
 /// Before walking, the first `min(length, PREFIX_CACHE_DEPTH)` levels of
 /// the update-call tree are resolved *sequentially, in lexicographic
@@ -1489,13 +1286,18 @@ fn search_plan(
 /// point *before* any parallel split; the walks below the resolved roots
 /// never touch the cache. Hit counts are therefore a pure function of the
 /// candidate sequence — deterministic at any thread count — and the cache
-/// needs no synchronization. The walk itself mirrors [`search_plan`]
-/// exactly: sequential per-root DFS in root order (sharing the one global
-/// sequence budget), or `par_map_stop` over the roots with the same
-/// index-ordered merge, so every reported count is identical to the
-/// uncached search.
+/// needs no synchronization.
+///
+/// The roots are then walked either sequentially in root order (sharing the
+/// one global sequence budget), or by `par_map_stop` with each root task
+/// counting into a private counter. Merging task results in root order and
+/// stopping at the first counterexample reproduces the sequential outcome,
+/// count *and* accounting exactly: roots before the winner contribute their
+/// full subtrees, the winner contributes its walk up to the counterexample,
+/// and later roots — which the sequential walk never reached — are
+/// discarded unread.
 #[allow(clippy::too_many_arguments)]
-fn search_plan_prefix_cached(
+fn search_plan(
     oracle: &SourceOracle<'_>,
     target_schema: &Schema,
     plan: &QueryPlan,
@@ -1515,11 +1317,9 @@ fn search_plan_prefix_cached(
     // lexicographic order. Misses execute the update once and account the
     // clone in a local SnapStats folded below, exactly like a walk subtree.
     let mut resolve_snap = snap.fresh();
-    let empty_path: Vec<usize> = Vec::new();
     let src_root = Arc::new(ExecState::Live(Instance::empty(source_schema), 0));
     let tgt_root = Arc::new(ExecState::Live(Instance::empty(target_schema), 0));
-    let mut roots: Vec<(Vec<usize>, Arc<ExecState>, Arc<ExecState>)> =
-        vec![(empty_path, src_root, tgt_root)];
+    let mut roots: Vec<Root> = vec![(Vec::new(), src_root, tgt_root)];
     for _ in 0..base {
         let mut next = Vec::with_capacity(roots.len() * fanout);
         for (path, src, tgt) in &roots {
@@ -1542,12 +1342,41 @@ fn search_plan_prefix_cached(
     fold_snapshot_peak(resolve_snap.peak);
     snap.absorb(&resolve_snap);
 
+    // Walks the `length - base` levels below one root, counting into
+    // `counter`, and hands back the walk's own accounting.
+    let blank = snap.fresh();
+    let walk_root = |(path, src, tgt): &Root,
+                     cap: Option<usize>,
+                     counter: &mut usize,
+                     cancel: Option<(&StopCtx, usize)>|
+     -> (Search, SnapStats) {
+        let mut dfs = Dfs {
+            oracle,
+            plan,
+            prep,
+            cap,
+            sequences_tested: counter,
+            node: oracle.prefix_node(path.iter().map(|&i| prep.update_ids[i])),
+            path: path.clone(),
+            cancel,
+            token,
+            polls: 0,
+            snap: blank,
+            src: WorkState::from_snapshot(src, source_schema),
+            tgt: WorkState::from_snapshot(tgt, target_schema),
+        };
+        let search = dfs.walk(length - base);
+        fold_snapshot_peak(dfs.snap.peak);
+        (search, dfs.snap)
+    };
+
     let workers = parpool::thread_limit();
     let leaves_estimate = (fanout as u128)
         .saturating_pow(length as u32)
         .saturating_mul(plan.query_calls.len() as u128);
-    // Same predicate as the uncached path: capped checks stay sequential so
-    // the single global budget is spent in enumeration order.
+    // The sequence cap is a single global budget: splitting it across
+    // workers would change which sequence exhausts it, so capped checks run
+    // sequentially (they are bounded by construction anyway).
     let parallel = config.max_sequences.is_none()
         && length >= 1
         && fanout >= 2
@@ -1555,73 +1384,30 @@ fn search_plan_prefix_cached(
         && leaves_estimate >= PARALLEL_LEAF_THRESHOLD;
 
     if !parallel {
-        for (path, src, tgt) in &roots {
-            let root_snap = snap.fresh();
-            let src_work = WorkState::from_snapshot(src, source_schema);
-            let tgt_work = WorkState::from_snapshot(tgt, target_schema);
-            let mut dfs = Dfs {
-                oracle,
-                plan,
-                prep,
-                cap: config.max_sequences,
-                sequences_tested: &mut *sequences_tested,
-                node: oracle.prefix_node(path.iter().map(|&i| prep.update_ids[i])),
-                path: path.clone(),
-                cancel: None,
-                token,
-                polls: 0,
-                snap: root_snap,
-                src: src_work,
-                tgt: tgt_work,
-            };
-            let result = dfs.walk(length - base);
-            fold_snapshot_peak(dfs.snap.peak);
-            let dfs_snap = dfs.snap;
-            drop(dfs);
-            snap.absorb(&dfs_snap);
-            if !matches!(result, Search::Exhausted) {
-                return result;
+        for root in &roots {
+            let (search, root_snap) = walk_root(root, config.max_sequences, sequences_tested, None);
+            snap.absorb(&root_snap);
+            if !matches!(search, Search::Exhausted) {
+                return search;
             }
         }
         return Search::Exhausted;
     }
 
-    let timed = snap.timed;
     let results = parpool::par_map_stop(
         &roots,
-        |task_index, (path, src, tgt), ctx| {
-            let root_snap = SnapStats {
-                timed,
-                ..SnapStats::default()
-            };
-            let src_work = WorkState::from_snapshot(src, source_schema);
-            let tgt_work = WorkState::from_snapshot(tgt, target_schema);
+        |task_index, root, ctx| {
             let mut count = 0usize;
-            let mut dfs = Dfs {
-                oracle,
-                plan,
-                prep,
-                cap: None,
-                sequences_tested: &mut count,
-                node: oracle.prefix_node(path.iter().map(|&i| prep.update_ids[i])),
-                path: path.clone(),
-                cancel: Some((ctx, task_index)),
-                token,
-                polls: 0,
-                snap: root_snap,
-                src: src_work,
-                tgt: tgt_work,
-            };
-            let search = dfs.walk(length - base);
-            fold_snapshot_peak(dfs.snap.peak);
-            let root_snap = dfs.snap;
-            drop(dfs); // release the borrow of `count`
+            let (search, root_snap) = walk_root(root, None, &mut count, Some((ctx, task_index)));
             (search, count, root_snap)
         },
+        // A token cancellation is a stopping result too: it makes the whole
+        // check moot, so still-queued roots are skipped instead of started.
         |(search, _, _)| matches!(search, Search::Counterexample(_) | Search::Cancelled),
     );
 
-    // Index-ordered merge: identical to the stub merge in [`search_plan`].
+    // Index-ordered merge: byte-identical to the sequential left-to-right
+    // walk with early exit (see the parpool stop contract).
     for result in results {
         let Some((search, count, root_snap)) = result else {
             break;
@@ -1646,7 +1432,8 @@ fn search_plan_prefix_cached(
 enum WorkInstance<'s> {
     /// Still reading the root snapshot directly — nothing copied yet.
     Borrowed(&'s Instance),
-    /// Detached by a mutation (or built fresh): the walk's own instance.
+    /// Detached by a mutation (or standing in under a failed root): the
+    /// walk's own instance.
     Owned(Instance),
 }
 
@@ -1696,16 +1483,6 @@ struct WorkState<'s> {
 }
 
 impl<'s> WorkState<'s> {
-    /// A live state over the empty instance — the walk's root.
-    fn fresh(schema: &Schema) -> WorkState<'s> {
-        WorkState {
-            instance: WorkInstance::Owned(Instance::empty(schema)),
-            uid: 0,
-            journal: Journal::new(),
-            failed: None,
-        }
-    }
-
     /// A working view of a (possibly shared) snapshot. Nothing is copied
     /// here: the instance stays borrowed until the walk's first mutation
     /// detaches it (see [`WorkInstance::owned`]), so roots whose subtree
@@ -1752,7 +1529,7 @@ struct Dfs<'a, 'p> {
     /// materialize the [`InvocationSequence`] only when a counterexample is
     /// actually found.
     path: Vec<usize>,
-    /// Set for parallel stub tasks: polled so a task whose result can no
+    /// Set for parallel root tasks: polled so a task whose result can no
     /// longer win the index-ordered merge stops burning its subtree.
     cancel: Option<(&'a StopCtx, usize)>,
     /// The caller's cancellation/deadline token, polled every
@@ -1777,7 +1554,7 @@ struct Dfs<'a, 'p> {
 const TOKEN_POLL_INTERVAL: usize = 256;
 
 impl Dfs<'_, '_> {
-    /// Returns `true` if this walker belongs to a parallel stub task that a
+    /// Returns `true` if this walker belongs to a parallel root task that a
     /// lower-index counterexample has made irrelevant.
     fn cancelled(&self) -> bool {
         match self.cancel {
@@ -1902,13 +1679,13 @@ impl Dfs<'_, '_> {
 /// working state, journaling its inverses, and returns the [`Frame`] that
 /// [`revert_frame`] undoes it with.
 ///
-/// Mirrors the old clone-based `apply_update` exactly: an already-failed
+/// Mirrors the clone-based [`apply_update`] exactly: an already-failed
 /// state stays failed (no-op frame), a preparation failure sets the sticky
 /// failure, and an execution failure leaves the state failed with the same
 /// error a full replay would report — its partial mutations are rolled
 /// back on the spot, so the instance under a failed state is byte-identical
-/// to the parent's (the old engine discarded the mutated clone; queries
-/// never read it either way because the failure gates them).
+/// to the parent's (the clone-based step discards the mutated clone;
+/// queries never read it either way because the failure gates them).
 fn apply_in_place(
     prepared: &PreparedUpdate,
     state: &mut WorkState<'_>,
@@ -1978,8 +1755,8 @@ fn revert_frame(frame: Frame, state: &mut WorkState<'_>, snap: &mut SnapStats) {
 
 /// Extends a shared execution state by one update call, COW-cloning the
 /// instance so the parent snapshot survives. Used only where a state must
-/// outlive the walk — [`PrefixCache`] resolution and parallel stub replay;
-/// the walk itself mutates in place via [`apply_in_place`].
+/// outlive the walk — [`PrefixCache`] resolution; the walk itself mutates
+/// in place via [`apply_in_place`].
 ///
 /// `snap` is the caller's *local* snapshot accounting: sampling a global
 /// atomic here would put a shared read-modify-write on every node of every
@@ -2208,7 +1985,8 @@ mod tests {
     fn differing_projection_is_detected_with_minimal_input() {
         let p = make_program(true);
         let q = make_program(false);
-        let cex = find_failing_input(&p, &schema(), &q, &schema(), &TestConfig::default())
+        let cex = compare_programs(&p, &schema(), &q, &schema(), &TestConfig::default())
+            .counterexample
             .expect("programs differ");
         // The minimal counterexample needs exactly one insert before the query.
         assert_eq!(cex.updates.len(), 1);
@@ -2235,7 +2013,8 @@ mod tests {
                 JoinChain::table("User"),
             );
         }
-        let cex = find_failing_input(&p, &schema(), &q, &schema(), &TestConfig::default())
+        let cex = compare_programs(&p, &schema(), &q, &schema(), &TestConfig::default())
+            .counterexample
             .expect("programs differ");
         assert_eq!(cex.updates.len(), 1, "smallest distinguishing input");
     }
@@ -2248,9 +2027,9 @@ mod tests {
             cluster_by_tables: false,
             ..TestConfig::default()
         };
-        let unclustered = find_failing_input(&p, &schema(), &q, &schema(), &config);
+        let unclustered = compare_programs(&p, &schema(), &q, &schema(), &config).counterexample;
         config.cluster_by_tables = true;
-        let clustered = find_failing_input(&p, &schema(), &q, &schema(), &config);
+        let clustered = compare_programs(&p, &schema(), &q, &schema(), &config).counterexample;
         assert_eq!(unclustered.is_some(), clustered.is_some());
     }
 
@@ -2272,7 +2051,7 @@ mod tests {
         let mut cache = PrefixCache::new();
         let mut profile = CheckProfile::default();
         for candidate in &candidates {
-            let cached = compare_with_oracle_profiled(
+            let cached = compare_with_oracle(
                 &oracle,
                 candidate,
                 &schema,
@@ -2281,7 +2060,7 @@ mod tests {
                 Some(&mut profile),
                 Some(&mut cache),
             );
-            let plain = compare_with_oracle_cancel(&oracle, candidate, &schema, &config, None);
+            let plain = compare_with_oracle(&oracle, candidate, &schema, &config, None, None, None);
             assert_eq!(cached.equivalent, plain.equivalent);
             assert_eq!(cached.counterexample, plain.counterexample);
             assert_eq!(cached.sequences_tested, plain.sequences_tested);
@@ -2313,7 +2092,7 @@ mod tests {
         let mut cache = PrefixCache::new();
         let mut compiled = |candidate: &Program| {
             let mut profile = CheckProfile::default();
-            compare_with_oracle_profiled(
+            compare_with_oracle(
                 &oracle,
                 candidate,
                 &schema,
@@ -2372,8 +2151,8 @@ mod tests {
         for candidate in [&p, &q, &p] {
             let roomy = SourceOracle::new(&p, &source_schema);
             assert_eq!(
-                compare_with_oracle(&full, candidate, &source_schema, &config),
-                compare_with_oracle(&roomy, candidate, &source_schema, &config),
+                compare_with_oracle(&full, candidate, &source_schema, &config, None, None, None),
+                compare_with_oracle(&roomy, candidate, &source_schema, &config, None, None, None),
             );
         }
         assert_eq!(full.cached_sequences(), 3);
@@ -2558,10 +2337,10 @@ mod tests {
         let source_schema = schema();
         let oracle = SourceOracle::new(&p, &source_schema);
         let config = TestConfig::default();
-        let first = compare_with_oracle(&oracle, &q, &source_schema, &config);
+        let first = compare_with_oracle(&oracle, &q, &source_schema, &config, None, None, None);
         assert_eq!(oracle.hits(), 0, "cold cache cannot hit");
         assert!(oracle.cached_sequences() > 0);
-        let second = compare_with_oracle(&oracle, &q, &source_schema, &config);
+        let second = compare_with_oracle(&oracle, &q, &source_schema, &config, None, None, None);
         assert_eq!(first, second, "memoization must not change the verdict");
         assert!(
             oracle.hits() > 0,
@@ -2579,12 +2358,14 @@ mod tests {
         let source_schema = schema();
         let oracle = SourceOracle::new(&p, &source_schema);
         let token = CancelToken::with_timeout(std::time::Duration::ZERO);
-        let report = compare_with_oracle_cancel(
+        let report = compare_with_oracle(
             &oracle,
             &q,
             &source_schema,
             &TestConfig::default(),
             Some(&token),
+            None,
+            None,
         );
         assert!(report.cancelled);
         assert!(!report.equivalent);
@@ -2600,15 +2381,25 @@ mod tests {
         let token = CancelToken::new();
         for candidate in [&p, &q] {
             let oracle = SourceOracle::new(&p, &source_schema);
-            let plain =
-                compare_with_oracle(&oracle, candidate, &source_schema, &TestConfig::default());
-            let oracle = SourceOracle::new(&p, &source_schema);
-            let with_token = compare_with_oracle_cancel(
+            let config = TestConfig::default();
+            let plain = compare_with_oracle(
                 &oracle,
                 candidate,
                 &source_schema,
-                &TestConfig::default(),
+                &config,
+                None,
+                None,
+                None,
+            );
+            let oracle = SourceOracle::new(&p, &source_schema);
+            let with_token = compare_with_oracle(
+                &oracle,
+                candidate,
+                &source_schema,
+                &config,
                 Some(&token),
+                None,
+                None,
             );
             assert_eq!(plain, with_token);
             assert!(!with_token.cancelled);

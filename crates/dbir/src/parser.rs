@@ -24,12 +24,21 @@ use crate::error::{Error, Result};
 use crate::schema::{Schema, TableName};
 use crate::value::{DataType, Value};
 
+/// Deepest predicate nesting [`parse_program`] accepts. Each parenthesis,
+/// `not`, `IN (SELECT …)` and `and`/`or` operator is one level. The parser
+/// and every later pass recurse over predicates, so without a bound one
+/// program text could overflow the stack of whatever thread parses it. At
+/// this bound an unoptimized build parses the deepest `IN` nest on a
+/// 2 MiB thread stack, the size of a job-server worker's.
+const MAX_PRED_DEPTH: usize = 128;
+
 /// Parses a full program against `schema`.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Parse`] for syntax errors (with line/column information)
-/// and resolution errors for unknown tables, attributes or types.
+/// Returns [`Error::Parse`] for syntax errors (with line/column information),
+/// including a predicate nested deeper than 128 levels, and resolution
+/// errors for unknown tables, attributes or types.
 pub fn parse_program(text: &str, schema: &Schema) -> Result<Program> {
     let tokens = tokenize(text)?;
     let mut parser = Parser {
@@ -37,6 +46,7 @@ pub fn parse_program(text: &str, schema: &Schema) -> Result<Program> {
         pos: 0,
         schema,
         current_params: Vec::new(),
+        nesting: 0,
     };
     let program = parser.parse_program()?;
     program.validate(schema)?;
@@ -318,6 +328,18 @@ struct Parser<'a> {
     /// predicates, these shadow identically named columns on the right-hand
     /// side of comparisons.
     current_params: Vec<String>,
+    /// Levels of predicate nesting (see [`MAX_PRED_DEPTH`]) open around the
+    /// current token.
+    nesting: usize,
+}
+
+/// The error for a predicate nested deeper than [`MAX_PRED_DEPTH`] at `at`.
+fn too_deep(at: &Token) -> Error {
+    Error::Parse {
+        line: at.line,
+        column: at.column,
+        message: format!("predicate nested deeper than {MAX_PRED_DEPTH} levels"),
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -418,7 +440,7 @@ impl<'a> Parser<'a> {
         self.expect(&TokenKind::RParen, "`)`")?;
         self.current_params = params.iter().map(|p| p.name.clone()).collect();
         let body = if is_query {
-            FunctionBody::Query(self.parse_select()?)
+            FunctionBody::Query(self.parse_select()?.0)
         } else {
             FunctionBody::Update(self.parse_update_body()?)
         };
@@ -447,7 +469,9 @@ impl<'a> Parser<'a> {
         Ok(params)
     }
 
-    fn parse_select(&mut self) -> Result<Query> {
+    /// Parses a `SELECT`, returning it with the height of its `WHERE`
+    /// predicate (see [`Parser::parse_pred`]).
+    fn parse_select(&mut self) -> Result<(Query, usize)> {
         self.expect_keyword("select")?;
         // Projection list: raw names resolved once the join chain is known.
         let mut raw_attrs: Vec<String> = Vec::new();
@@ -468,11 +492,11 @@ impl<'a> Parser<'a> {
         self.expect_keyword("from")?;
         let join = self.parse_join_chain()?;
         let tables = join.tables();
-        let pred = if self.at_keyword("where") {
+        let (pred, height) = if self.at_keyword("where") {
             self.advance();
             self.parse_pred(&tables)?
         } else {
-            Pred::True
+            (Pred::True, 0)
         };
         if matches!(self.peek().kind, TokenKind::Semi) {
             self.advance();
@@ -482,16 +506,17 @@ impl<'a> Parser<'a> {
             input: Box::new(Query::Join(join.clone())),
         };
         if star {
-            return Ok(base);
+            return Ok((base, height));
         }
         let mut attrs = Vec::new();
         for raw in raw_attrs {
             attrs.push(self.schema.resolve_attr(&raw, &tables)?);
         }
-        Ok(Query::Project {
+        let query = Query::Project {
             attrs,
             input: Box::new(base),
-        })
+        };
+        Ok((query, height))
     }
 
     fn parse_update_body(&mut self) -> Result<Update> {
@@ -564,7 +589,7 @@ impl<'a> Parser<'a> {
         let chain_tables = join.tables();
         let pred = if self.at_keyword("where") {
             self.advance();
-            self.parse_pred(&chain_tables)?
+            self.parse_pred(&chain_tables)?.0
         } else {
             Pred::True
         };
@@ -588,7 +613,7 @@ impl<'a> Parser<'a> {
         let value = self.parse_operand()?;
         let pred = if self.at_keyword("where") {
             self.advance();
-            self.parse_pred(&tables)?
+            self.parse_pred(&tables)?.0
         } else {
             Pred::True
         };
@@ -699,62 +724,114 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_pred(&mut self, tables: &[TableName]) -> Result<Pred> {
+    /// Parses a predicate, returning it with its height: the levels of
+    /// nesting it spans, counted as [`MAX_PRED_DEPTH`] counts them. Every
+    /// predicate is kept within `MAX_PRED_DEPTH` of the clause it belongs
+    /// to: the levels open around it plus its height never exceed the
+    /// bound.
+    fn parse_pred(&mut self, tables: &[TableName]) -> Result<(Pred, usize)> {
         self.parse_or(tables)
     }
 
-    fn parse_or(&mut self, tables: &[TableName]) -> Result<Pred> {
-        let mut lhs = self.parse_and(tables)?;
+    fn parse_or(&mut self, tables: &[TableName]) -> Result<(Pred, usize)> {
+        let (mut lhs, mut height) = self.parse_and(tables)?;
         while self.at_keyword("or") {
-            self.advance();
-            let rhs = self.parse_and(tables)?;
+            let operator = self.advance();
+            let (rhs, rhs_height) = self.parse_and(tables)?;
+            height = self.operator_height(&operator, height.max(rhs_height))?;
             lhs = Pred::Or(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_and(&mut self, tables: &[TableName]) -> Result<Pred> {
-        let mut lhs = self.parse_unary(tables)?;
+    fn parse_and(&mut self, tables: &[TableName]) -> Result<(Pred, usize)> {
+        let (mut lhs, mut height) = self.parse_unary(tables)?;
         while self.at_keyword("and") {
-            self.advance();
-            let rhs = self.parse_unary(tables)?;
+            let operator = self.advance();
+            let (rhs, rhs_height) = self.parse_unary(tables)?;
+            height = self.operator_height(&operator, height.max(rhs_height))?;
             lhs = Pred::And(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_unary(&mut self, tables: &[TableName]) -> Result<Pred> {
+    /// The height of an `and`/`or` node over operands at most `operands`
+    /// high, or an error at `operator` if the node would sit deeper than
+    /// [`MAX_PRED_DEPTH`]. Chains build left-deep trees without recursing
+    /// in the parser, so this check is what bounds their length.
+    fn operator_height(&self, operator: &Token, operands: usize) -> Result<usize> {
+        let height = operands + 1;
+        if self.nesting + height > MAX_PRED_DEPTH {
+            return Err(too_deep(operator));
+        }
+        Ok(height)
+    }
+
+    /// Runs `parse` one level of nesting deeper — for a `not`, a
+    /// parenthesis or an `IN (SELECT …)` opening at the current token — and
+    /// returns its result one level higher. Fails at that token instead
+    /// when the level would exceed [`MAX_PRED_DEPTH`], so the parser never
+    /// recurses past the bound.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<(T, usize)>,
+    ) -> Result<(T, usize)> {
+        if self.nesting == MAX_PRED_DEPTH {
+            return Err(too_deep(self.peek()));
+        }
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        let (inner, height) = parsed?;
+        Ok((inner, height + 1))
+    }
+
+    fn parse_unary(&mut self, tables: &[TableName]) -> Result<(Pred, usize)> {
         if self.at_keyword("not") {
-            self.advance();
-            let inner = self.parse_unary(tables)?;
-            return Ok(Pred::Not(Box::new(inner)));
+            let (inner, height) = self.nested(|p| {
+                p.advance();
+                p.parse_unary(tables)
+            })?;
+            return Ok((Pred::Not(Box::new(inner)), height));
         }
         if self.at_keyword("true") {
             self.advance();
-            return Ok(Pred::True);
+            return Ok((Pred::True, 0));
         }
         if self.at_keyword("false") {
             self.advance();
-            return Ok(Pred::False);
+            return Ok((Pred::False, 0));
         }
         if matches!(self.peek().kind, TokenKind::LParen) {
-            self.advance();
-            let inner = self.parse_pred(tables)?;
-            self.expect(&TokenKind::RParen, "`)`")?;
-            return Ok(inner);
+            return self.nested(|p| {
+                p.advance();
+                let inner = p.parse_pred(tables)?;
+                p.expect(&TokenKind::RParen, "`)`")?;
+                Ok(inner)
+            });
         }
-        // Atom: attr op operand | attr op attr | attr IN (SELECT ...)
+        self.parse_atom(tables)
+    }
+
+    /// Parses an atom: `attr op operand`, `attr op attr` or
+    /// `attr IN (SELECT ...)`. Kept out of [`Parser::parse_unary`] so the
+    /// frames of a deep `not` or parenthesis nest stay small.
+    fn parse_atom(&mut self, tables: &[TableName]) -> Result<(Pred, usize)> {
         let raw = self.parse_attr_name()?;
         let lhs = self.schema.resolve_attr(&raw, tables)?;
         if self.at_keyword("in") {
-            self.advance();
-            self.expect(&TokenKind::LParen, "`(`")?;
-            let query = self.parse_select()?;
-            self.expect(&TokenKind::RParen, "`)`")?;
-            return Ok(Pred::In {
+            let (query, height) = self.nested(|p| {
+                p.advance();
+                p.expect(&TokenKind::LParen, "`(`")?;
+                let query = p.parse_select()?;
+                p.expect(&TokenKind::RParen, "`)`")?;
+                Ok(query)
+            })?;
+            let pred = Pred::In {
                 attr: lhs,
                 query: Box::new(query),
-            });
+            };
+            return Ok((pred, height));
         }
         let op = match self.peek().kind {
             TokenKind::Cmp(op) => {
@@ -793,12 +870,12 @@ impl<'a> Parser<'a> {
                         self.advance();
                         self.advance();
                     }
-                    return Ok(Pred::CmpAttr { lhs, op, rhs });
+                    return Ok((Pred::CmpAttr { lhs, op, rhs }, 0));
                 }
             }
         }
         let rhs = self.parse_operand()?;
-        Ok(Pred::CmpValue { lhs, op, rhs })
+        Ok((Pred::CmpValue { lhs, op, rhs }, 0))
     }
 }
 
@@ -1014,6 +1091,54 @@ mod tests {
         match &program.functions[0].body {
             FunctionBody::Query(query) => assert!(query.params().is_empty()),
             other => panic!("expected query, got {other:?}"),
+        }
+    }
+
+    /// A predicate nested past [`MAX_PRED_DEPTH`] is a positioned parse
+    /// error, not a stack overflow, whichever construct nests it; one
+    /// exactly at the bound parses.
+    #[test]
+    fn predicates_nested_past_the_bound_are_rejected() {
+        let schema = Schema::parse("T(a: int)").unwrap();
+        let clause = "query q(x: int) SELECT a FROM T WHERE ";
+        fn parens(n: usize) -> String {
+            format!("{}a = x{}", "(".repeat(n), ")".repeat(n))
+        }
+        fn nots(n: usize) -> String {
+            format!("{}a = x", "not ".repeat(n))
+        }
+        fn ands(n: usize) -> String {
+            vec!["a = x"; n + 1].join(" and ")
+        }
+        fn ors(n: usize) -> String {
+            vec!["a = x"; n + 1].join(" or ")
+        }
+        fn ins(n: usize) -> String {
+            let open = "a IN (SELECT a FROM T WHERE ".repeat(n);
+            format!("{open}a = x{}", ")".repeat(n))
+        }
+        /// Half the levels in parentheses, half in a chain after them.
+        fn mixed(n: usize) -> String {
+            format!("{}{}", parens(n / 2), " and a = x".repeat(n - n / 2))
+        }
+        let parse = |pred: String| parse_program(&format!("{clause}{pred};"), &schema);
+
+        let deep: [fn(usize) -> String; 3] = [parens, nots, ands];
+        for deep in deep {
+            let err = parse(deep(100_000)).unwrap_err();
+            assert!(matches!(err, Error::Parse { .. }), "{err:?}");
+        }
+        let nestings: [fn(usize) -> String; 6] = [parens, nots, ands, ors, ins, mixed];
+        for nesting in nestings {
+            parse(nesting(MAX_PRED_DEPTH)).unwrap();
+            let err = parse(nesting(MAX_PRED_DEPTH + 1)).unwrap_err();
+            assert!(matches!(err, Error::Parse { .. }), "{err:?}");
+        }
+        match parse(parens(MAX_PRED_DEPTH + 1)).unwrap_err() {
+            Error::Parse { line, column, .. } => {
+                assert_eq!((line, column), (1, clause.len() + MAX_PRED_DEPTH + 1));
+            }
+            other => panic!("expected a parse error, got {other:?}"),
         }
     }
 

@@ -11,7 +11,7 @@ use dbir::ast::{
     CmpOp, Function, FunctionBody, JoinChain, Operand, Param, Pred, Program, Query, Update,
 };
 use dbir::equiv::{compare_programs, compare_programs_naive, SourceOracle, TestConfig};
-use dbir::equiv::{compare_with_oracle, EquivalenceReport};
+use dbir::equiv::{compare_with_oracle, CheckProfile, EquivalenceReport};
 use dbir::eval::{bind_args, CompiledUpdate, Journal};
 use dbir::schema::{QualifiedAttr, Schema};
 use dbir::value::{DataType, Value};
@@ -257,15 +257,18 @@ proptest! {
         let source = build_program(&source_shape);
         let target = build_program(&target_shape);
         let oracle = SourceOracle::new(&source, &schema);
-        let cold: EquivalenceReport = compare_with_oracle(&oracle, &target, &schema, &config);
-        let warm = compare_with_oracle(&oracle, &target, &schema, &config);
+        let check = |target: &Program| -> EquivalenceReport {
+            compare_with_oracle(&oracle, target, &schema, &config, None, None, None)
+        };
+        let cold = check(&target);
+        let warm = check(&target);
         prop_assert_eq!(&cold, &warm);
         // The source against itself walks the whole bound, so the memo then
         // holds sequences of every length up to `max_updates + 1` calls.
-        prop_assert!(compare_with_oracle(&oracle, &source, &schema, &config).equivalent);
+        prop_assert!(check(&source).equivalent);
         // And against a sibling candidate, the shared cache stays sound.
         let sibling = build_program(&ProgramShape { projection: target_shape.projection.wrapping_add(1), ..target_shape.clone() });
-        let with_shared_cache = compare_with_oracle(&oracle, &sibling, &schema, &config);
+        let with_shared_cache = check(&sibling);
         let from_scratch = compare_programs(&source, &schema, &sibling, &schema, &config);
         prop_assert_eq!(&with_shared_cache, &from_scratch);
     }
@@ -377,15 +380,17 @@ proptest! {
     }
 }
 
-/// The parallel stub-partitioned walk must be byte-identical to the naive
-/// reference — verdict, counterexample, `sequences_tested` — with the thread
-/// budget forced above one. The configuration is sized so the estimated
-/// subtree (|updates|·combos)^depth · |queries| clears the engine's
-/// parallelism threshold, i.e. the fan-out path genuinely runs (on any
-/// machine, including single-core CI).
+/// The walk that fans its cache-depth roots out to worker threads must be
+/// byte-identical to the naive reference — verdict, counterexample,
+/// `sequences_tested` — with the thread budget forced above one, and a
+/// check's profile counters (snapshots, copied bytes, undo frames and
+/// rollbacks, plans compiled, prefix-cache hits) must read the same at a
+/// thread budget of one and of four. The configuration is sized so the
+/// estimated subtree (|updates|·combos)^depth · |queries| clears the
+/// engine's parallelism threshold, i.e. the fan-out path genuinely runs (on
+/// any machine, including single-core CI).
 #[test]
 fn parallel_walk_matches_naive_reference() {
-    parpool::set_thread_limit(4);
     let schema = schema();
     // No relevance clustering: every plan sees every update, which pushes
     // the per-(plan, depth) fan-out past the engine's parallelism threshold.
@@ -437,15 +442,45 @@ fn parallel_walk_matches_naive_reference() {
     ] {
         let source = build_program(&source_shape);
         let target = build_program(&target_shape);
-        let parallel = compare_programs(&source, &schema, &target, &schema, &config);
+        // A fresh oracle and no caller cache per run; the counters compared
+        // leave out the wall-clock `*_time` fields.
+        let profiled = |threads: usize| {
+            parpool::set_thread_limit(threads);
+            let oracle = SourceOracle::new(&source, &schema);
+            let mut profile = CheckProfile::default();
+            let report = compare_with_oracle(
+                &oracle,
+                &target,
+                &schema,
+                &config,
+                None,
+                Some(&mut profile),
+                None,
+            );
+            let counters = CheckProfile {
+                plan_compile_time: Default::default(),
+                dfs_time: Default::default(),
+                snapshot_time: Default::default(),
+                ..profile
+            };
+            (report, counters)
+        };
+        let (sequential, sequential_counters) = profiled(1);
+        let (parallel, parallel_counters) = profiled(4);
         let naive = compare_programs_naive(&source, &schema, &target, &schema, &config);
         assert_eq!(parallel, naive, "parallel walk diverged from reference");
+        assert_eq!(sequential, naive, "sequential walk diverged from reference");
+        assert_eq!(
+            sequential_counters, parallel_counters,
+            "profile counters depend on the thread count"
+        );
         if parallel.equivalent {
             assert!(
                 parallel.sequences_tested > 4096,
                 "test must be big enough to cross the parallelism threshold, got {}",
                 parallel.sequences_tested
             );
+            assert!(parallel_counters.undo_frames > 0, "the walk ran in place");
         }
     }
     // Restore the default so concurrently scheduled tests in this binary

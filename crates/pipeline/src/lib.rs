@@ -583,10 +583,8 @@ impl Refactoring {
     ///
     /// Counters are restricted to quantities merged from the winning
     /// trajectory in enumeration order, so the rendered counter view is
-    /// byte-identical at any thread count.  Scheduling-dependent
-    /// diagnostics (oracle hits, snapshot counts) and wall-clock phase
-    /// timings go to the timing channel, which the deterministic view
-    /// excludes.
+    /// byte-identical at any thread count.  Wall-clock phase timings go to
+    /// the timing channel, which the deterministic view excludes.
     fn record_synthesis_metrics(&self, stats: &SynthesisStats) {
         if self.obs.metrics.is_none() {
             return;

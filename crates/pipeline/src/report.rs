@@ -9,12 +9,12 @@ use crate::{Emitted, Synthesized};
 
 /// Renders the per-phase breakdown as a JSON object.
 ///
-/// The counters are exact; the `*_secs` fields are wall-clock and must
-/// never be compared across runs. The experiments harness only checks the
-/// deterministic counters (`sat_blocking_clauses`, `plans_compiled`,
-/// `solver_reuses`, `learned_clauses_kept`, `prefix_cache_hits`,
-/// `undo_frames`, `undo_ops_rolled_back`); `snapshots_taken` and
-/// `snapshot_bytes_copied` are scheduling-dependent diagnostics.
+/// The counters are exact and identical at any thread count; the `*_secs`
+/// fields are wall-clock and must never be compared across runs. The
+/// experiments harness checks every counter (`sat_blocking_clauses`,
+/// `plans_compiled`, `solver_reuses`, `learned_clauses_kept`,
+/// `prefix_cache_hits`, `undo_frames`, `undo_ops_rolled_back`,
+/// `snapshots_taken`, `snapshot_bytes_copied`).
 pub fn phases_json(phases: &PhaseBreakdown) -> Json {
     Json::object()
         .with(

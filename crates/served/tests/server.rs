@@ -405,6 +405,52 @@ fn draining_shutdown_finishes_queued_work_and_rejects_new_jobs() {
     server.wait();
 }
 
+/// Input nested deep enough to overflow a recursive parser — a request
+/// line of 100,000 `[` and a job whose program nests 3,000 parentheses —
+/// gets an error reply instead of aborting the server, which then still
+/// completes a normal job.
+#[test]
+fn deeply_nested_input_gets_errors_and_the_server_lives_on() {
+    let server = Server::start(ServerConfig::default()).expect("server starts");
+    let addr = server.addr().to_string();
+
+    let mut connection = TcpStream::connect(&addr).expect("connect");
+    writeln!(connection, "{}", "[".repeat(100_000)).expect("send deep line");
+    let mut reply = String::new();
+    BufReader::new(connection)
+        .read_line(&mut reply)
+        .expect("reply to deep line");
+    let reply = Json::parse(&reply).expect("reply parses");
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply.get("error").and_then(Json::as_str).expect("error");
+    assert!(error.starts_with("bad request:"), "{error}");
+
+    let depth = 3_000;
+    let mut deep = rename_spec();
+    deep.program = format!(
+        "query getUser(uid: int) SELECT nick FROM Users WHERE {}uid = uid{};",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let id = submit(&addr, &deep).expect("submit deep job");
+    let result = wait_done(&addr, id).expect("deep job finishes");
+    assert_eq!(
+        result.get("outcome").and_then(Json::as_str),
+        Some("error"),
+        "{}",
+        result.to_compact_string()
+    );
+
+    let mut spec = rename_spec();
+    spec.validate = false;
+    let id = submit(&addr, &spec).expect("submit normal job");
+    let result = wait_done(&addr, id).expect("normal job finishes");
+    assert_eq!(result.get("outcome").and_then(Json::as_str), Some("solved"));
+
+    server.shutdown(ShutdownMode::Drain);
+    server.wait();
+}
+
 #[test]
 fn protocol_rejects_malformed_requests() {
     let server = Server::start(ServerConfig::default()).expect("server starts");

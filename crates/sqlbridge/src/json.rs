@@ -120,6 +120,7 @@ impl Json {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -183,10 +184,19 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, and documents arrive from outside the
+/// program (job-server request lines), so the bound keeps one line from
+/// overflowing the stack of the thread that parses it. The documents the
+/// program itself writes nest a few levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// A recursive-descent parser over the raw bytes of a JSON document.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current byte.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -220,8 +230,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
@@ -233,6 +243,21 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object one level deeper, failing instead when
+    /// that level would exceed [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -558,6 +583,17 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn parse_rejects_nesting_past_the_bound() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(100_000), "}".repeat(100_000));
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]
