@@ -17,23 +17,24 @@
 //! `--threads 4` in CI must (and do) produce identical statistics.
 //!
 //! Each table command prints a Markdown table with the measured numbers next
-//! to the numbers the paper reports, so EXPERIMENTS.md can be updated by
-//! copying the output. `table1` and `all` additionally write the measured
-//! rows (per-benchmark wall time plus the underlying search statistics) as
-//! machine-readable JSON to `--out` (default `BENCH_results.json`), so
-//! successive revisions leave a performance trajectory.
+//! to the numbers the paper reports. `table1` and `all` additionally write
+//! the measured rows (per-benchmark wall time plus the underlying search
+//! statistics) as machine-readable JSON to `--out` (default
+//! `BENCH_results.json`), so successive revisions leave a performance
+//! trajectory.
 //!
-//! `check` is the deterministic-stats mode CI runs on a fast benchmark
-//! subset: it re-runs the selected benchmarks and asserts that the
-//! *deterministic* columns — the allowlists
+//! `check` is the deterministic-stats mode CI runs on every committed
+//! benchmark: it re-runs the selected benchmarks, renders each fresh row as
+//! `table1` would, and compares it with the committed trajectory file
+//! through [`bench::deterministic_drift`] — the allowlists
 //! [`bench::DETERMINISTIC_TOP_FIELDS`] and
 //! [`bench::DETERMINISTIC_PHASE_FIELDS`], plus the success and validation
-//! flags — match the committed trajectory file (wall time, thread count,
-//! oracle hits and the allocation proxies are machine- or
-//! scheduling-dependent and excluded). Mismatches are reported field by
-//! field in a `### Mismatches` section (expected vs measured) with a
-//! one-line summary count on stderr. `--only` is repeatable. Exits non-zero
-//! on any mismatch, so a search-behaviour regression fails the build.
+//! flags (wall time, thread count, oracle hits and the allocation proxies
+//! are machine- or scheduling-dependent and excluded). Mismatches are
+//! reported field by field in a `### Mismatches` section, as
+//! `committed → measured` like `cmp`'s drift, with a one-line summary count
+//! on stderr. `--only` is repeatable. Exits non-zero on any mismatch, so a
+//! search-behaviour regression fails the build.
 //!
 //! `known-red` is the frontier gate: every benchmark outside the known-red
 //! list must keep synthesizing and validating under the standard
@@ -43,12 +44,12 @@
 //!
 //! `cmp` diffs two `BENCH_results.json` files run-over-run (the rebar-style
 //! companion to the trajectory file): per-benchmark wall-time ratios, drift
-//! in the deterministic allowlisted fields, and a `### Regressions` section
-//! listing benchmarks whose wall time grew beyond `--threshold` (default
-//! 1.2×). Wall-time regressions are advisory — two files from different
-//! machines are not comparable — but a deterministic-field mismatch means
-//! the search itself changed between the runs, so `cmp` exits non-zero on
-//! one exactly like `check`.
+//! in the same deterministic fields `check` compares, and a
+//! `### Regressions` section listing benchmarks whose wall time grew beyond
+//! `--threshold` (default 1.2×). Wall-time regressions are advisory — two
+//! files from different machines are not comparable — but a
+//! deterministic-field mismatch means the search itself changed between the
+//! runs, so `cmp` exits non-zero on one exactly like `check`.
 //!
 //! `dump` writes one benchmark's inputs (`source.sql`, `target.sql`,
 //! `program.dbp`) into a directory, so the `migrate` CLI — and CI's
@@ -347,47 +348,22 @@ fn table3(options: &Options) {
 }
 
 /// The deterministic-stats CI mode: re-runs the selected benchmarks and
-/// compares the machine-independent columns against the committed
-/// trajectory file. Wall time is excluded by design.
+/// compares each fresh row with the committed trajectory file's through
+/// [`bench::deterministic_drift`]. Wall time is excluded by design.
 fn check(options: &Options) {
-    let committed = match std::fs::read_to_string(&options.against) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", options.against);
-            std::process::exit(2);
-        }
-    };
-    let document = match sqlbridge::Json::parse(&committed) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("cannot parse {}: {e}", options.against);
-            std::process::exit(2);
-        }
-    };
-    let rows = document
-        .get("benchmarks")
-        .and_then(|b| b.as_array())
-        .unwrap_or_else(|| {
-            eprintln!("{} has no `benchmarks` array", options.against);
-            std::process::exit(2);
-        });
-    let committed_row = |name: &str| -> Option<&sqlbridge::Json> {
-        rows.iter()
-            .find(|row| row.get("name").and_then(|n| n.as_str()) == Some(name))
-    };
-
+    let committed = load_results(&options.against);
     println!(
         "## Deterministic-stats check against {} (wall time excluded)\n",
         options.against
     );
     println!("| Benchmark | Value Corr | Iters | Succeeded | Validated | Verdict |");
     println!("|---|---|---|---|---|---|");
-    // Per-benchmark field-level diffs, collected for the Mismatches section
-    // below the table (one `expected … / measured …` line per field).
+    // Per-benchmark field-level drift, collected for the Mismatches section
+    // below the table (one `committed → measured` line per field).
     let mut mismatched: Vec<(String, Vec<String>)> = Vec::new();
     let mut checked = 0usize;
     for benchmark in selected_benchmarks(options) {
-        let Some(expected) = committed_row(&benchmark.name) else {
+        let Some(expected) = committed.iter().find(|row| row_name(row) == benchmark.name) else {
             println!(
                 "| {} | - | - | - | - | MISSING from {} |",
                 benchmark.name, options.against
@@ -400,50 +376,7 @@ fn check(options: &Options) {
         };
         let row = run_table1(&benchmark, SketchSolverKind::MfiGuided);
         checked += 1;
-        let mut diffs: Vec<String> = Vec::new();
-        let mut field = |committed: Option<i128>, measured: i128, label: &str| {
-            if committed != Some(measured) {
-                diffs.push(format!(
-                    "{label}: expected {}, measured {measured}",
-                    committed.map_or("absent".to_string(), |v| v.to_string())
-                ));
-            }
-        };
-        let top = |key: &str| expected.get(key).and_then(|v| v.as_i128());
-        // Deterministic counters nested under `phases` are part of the
-        // trajectory contract too — exactly the allowlisted ones; the other
-        // phase fields are wall-clock by design.
-        let phase = |key: &str| {
-            expected
-                .get("phases")
-                .and_then(|p| p.get(key))
-                .and_then(|v| v.as_i128())
-        };
-        for (name, extract) in bench::DETERMINISTIC_TOP_FIELDS {
-            field(top(name), extract(&row), name);
-        }
-        for (name, extract) in bench::DETERMINISTIC_PHASE_FIELDS {
-            field(phase(name), extract(&row.phases), &format!("phases.{name}"));
-        }
-        let committed_success = expected.get("succeeded").and_then(|v| v.as_bool());
-        if committed_success != Some(row.succeeded) {
-            diffs.push(format!(
-                "succeeded: expected {}, measured {}",
-                committed_success.map_or("absent".to_string(), |v| v.to_string()),
-                row.succeeded
-            ));
-        }
-        // End-to-end migration validation is deterministic (seeded source
-        // instance, memory backend), so it is part of the trajectory
-        // contract: an emitter regression fails the build here.
-        let committed_validated = expected.get("validated").and_then(|v| v.as_bool());
-        if committed_validated != row.validated {
-            diffs.push(format!(
-                "validated: expected {}, measured {}",
-                committed_validated.map_or("null".to_string(), |v| v.to_string()),
-                row.validated.map_or("null".to_string(), |v| v.to_string())
-            ));
-        }
+        let diffs = bench::deterministic_drift(expected, &row_to_json(&benchmark, &row));
         let verdict = if diffs.is_empty() {
             "ok".to_string()
         } else {
@@ -559,9 +492,9 @@ fn known_red(options: &Options) {
     eprintln!("known-red gate: {green} green benchmark(s) still green");
 }
 
-/// Loads one `BENCH_results.json` document, exiting with a usage error when
-/// the file is unreadable or not the expected shape.
-fn load_results(path: &str) -> sqlbridge::Json {
+/// Loads the rows of one `BENCH_results.json` document, exiting with a
+/// usage error when the file is unreadable or not the expected shape.
+fn load_results(path: &str) -> Vec<sqlbridge::Json> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
@@ -570,15 +503,20 @@ fn load_results(path: &str) -> sqlbridge::Json {
         eprintln!("cannot parse {path}: {e}");
         std::process::exit(2);
     });
-    if document
-        .get("benchmarks")
-        .and_then(|b| b.as_array())
-        .is_none()
-    {
-        eprintln!("{path} has no `benchmarks` array");
-        std::process::exit(2);
+    match document.get("benchmarks").and_then(|b| b.as_array()) {
+        Some(rows) => rows.to_vec(),
+        None => {
+            eprintln!("{path} has no `benchmarks` array");
+            std::process::exit(2);
+        }
     }
-    document
+}
+
+/// A `BENCH_results.json` row's benchmark name.
+fn row_name(row: &sqlbridge::Json) -> &str {
+    row.get("name")
+        .and_then(|n| n.as_str())
+        .unwrap_or("<unnamed>")
 }
 
 /// The run-over-run diff mode: `experiments cmp old.json new.json`.
@@ -592,22 +530,8 @@ fn cmp(options: &Options) {
         eprintln!("usage: experiments cmp <old.json> <new.json> [--threshold <ratio>]");
         std::process::exit(2);
     };
-    let old_doc = load_results(old_path);
-    let new_doc = load_results(new_path);
-    let old_rows = old_doc
-        .get("benchmarks")
-        .and_then(|b| b.as_array())
-        .unwrap();
-    let new_rows = new_doc
-        .get("benchmarks")
-        .and_then(|b| b.as_array())
-        .unwrap();
-    let row_name = |row: &sqlbridge::Json| {
-        row.get("name")
-            .and_then(|n| n.as_str())
-            .unwrap_or("<unnamed>")
-            .to_string()
-    };
+    let old_rows = load_results(old_path);
+    let new_rows = load_results(new_path);
     println!("## Bench comparison: {old_path} → {new_path}\n");
     println!("| Benchmark | Total s (old) | Total s (new) | Ratio | Deterministic |");
     println!("|---|---|---|---|---|");
@@ -620,43 +544,6 @@ fn cmp(options: &Options) {
             .unwrap_or(0)
     };
 
-    // Deterministic drift is judged field-by-field on the same allowlists
-    // `check` uses, plus the success/validation flags.
-    let drift_for = |old_row: &sqlbridge::Json, new_row: &sqlbridge::Json| -> Vec<String> {
-        let mut drift = Vec::new();
-        let mut diff = |label: &str, old: Option<i128>, new: Option<i128>| {
-            if old != new {
-                let fmt = |v: Option<i128>| v.map_or("absent".to_string(), |v| v.to_string());
-                drift.push(format!("{label}: {} → {}", fmt(old), fmt(new)));
-            }
-        };
-        for (name, _) in bench::DETERMINISTIC_TOP_FIELDS {
-            diff(
-                name,
-                old_row.get(name).and_then(|v| v.as_i128()),
-                new_row.get(name).and_then(|v| v.as_i128()),
-            );
-        }
-        let phase = |row: &sqlbridge::Json, key: &str| {
-            row.get("phases")
-                .and_then(|p| p.get(key))
-                .and_then(|v| v.as_i128())
-        };
-        for (name, _) in bench::DETERMINISTIC_PHASE_FIELDS {
-            diff(
-                &format!("phases.{name}"),
-                phase(old_row, name),
-                phase(new_row, name),
-            );
-        }
-        for flag in ["succeeded", "validated"] {
-            let read =
-                |row: &sqlbridge::Json| row.get(flag).and_then(|v| v.as_bool()).map(i128::from);
-            diff(flag, read(old_row), read(new_row));
-        }
-        drift
-    };
-
     let mut regressions: Vec<String> = Vec::new();
     let mut drifted: Vec<(String, Vec<String>)> = Vec::new();
     let mut missing = 0usize;
@@ -665,7 +552,7 @@ fn cmp(options: &Options) {
     let mut old_snapshot_total = 0i128;
     let mut new_snapshot_total = 0i128;
     let mut compared = 0usize;
-    for old_row in old_rows {
+    for old_row in &old_rows {
         let name = row_name(old_row);
         // A row absent from one file is not deterministic drift — filtered
         // runs (CI's fast subset) legitimately cover fewer benchmarks.
@@ -693,12 +580,12 @@ fn cmp(options: &Options) {
                 ));
             }
         }
-        let drift = drift_for(old_row, new_row);
+        let drift = bench::deterministic_drift(old_row, new_row);
         let verdict = if drift.is_empty() {
             "ok".to_string()
         } else {
             let fields = drift.len();
-            drifted.push((name.clone(), drift));
+            drifted.push((name.to_string(), drift));
             format!("DRIFT ({fields} field(s), see below)")
         };
         println!(
@@ -708,7 +595,7 @@ fn cmp(options: &Options) {
             ratio.map_or("-".to_string(), |r| format!("{r:.2}x")),
         );
     }
-    for new_row in new_rows {
+    for new_row in &new_rows {
         let name = row_name(new_row);
         if !old_rows.iter().any(|r| row_name(r) == name) {
             println!("| {name} | - | - | - | new in {new_path} |");

@@ -10,12 +10,14 @@ use benchmarks::{Benchmark, Category};
 use dbir::equiv::TestConfig;
 use migrator::baselines::CegisConfig;
 use migrator::{SketchSolverKind, SynthesisConfig, SynthesisOutcome, SynthesisStats};
-use pipeline::{RefactorError, Refactoring};
+use pipeline::{Json, RefactorError, Refactoring};
 
 /// The synthesis configuration used for a benchmark in the experiments:
 /// textbook benchmarks use the standard configuration; application-scale
-/// benchmarks use a leaner bounded-testing configuration (fewer argument
-/// combinations per function), matching DESIGN.md.
+/// benchmarks use a leaner bounded-testing configuration (at most four
+/// argument combinations per function) so testing their wide programs stays
+/// fast. The lean setting exists only in this harness: `migrate` and served
+/// jobs run the standard configuration.
 pub fn config_for(benchmark: &Benchmark, solver: SketchSolverKind) -> SynthesisConfig {
     let mut config = SynthesisConfig {
         solver,
@@ -47,37 +49,60 @@ fn lean_testing_for(benchmark: &Benchmark, config: &mut SynthesisConfig) {
     }
 }
 
-/// One entry in a deterministic-field allowlist: the JSON field name and
-/// the extractor that reads its value from a fresh run.
-pub type DeterministicField<T> = (&'static str, fn(&T) -> i128);
-
 /// The deterministic trajectory contract: the top-level `BENCH_results.json`
-/// fields `experiments check` compares against a fresh run, with their
-/// extractors. Everything not listed here (wall time, oracle-hit counters,
-/// interner sizes, the process-wide snapshot peak) is machine- or
-/// scheduling-dependent and deliberately excluded.
-pub const DETERMINISTIC_TOP_FIELDS: &[DeterministicField<Table1Row>] = &[
-    ("value_correspondences", |row| row.value_corr as i128),
-    ("iterations", |row| row.iters as i128),
-    ("sequences_tested", |row| row.sequences_tested as i128),
-];
+/// counts `experiments check` and `experiments cmp` compare (see
+/// [`deterministic_drift`]). Everything not listed here (wall time,
+/// oracle-hit counters, interner sizes, the process-wide snapshot peak) is
+/// machine- or scheduling-dependent and deliberately excluded.
+pub const DETERMINISTIC_TOP_FIELDS: &[&str] =
+    &["value_correspondences", "iterations", "sequences_tested"];
 
 /// The deterministic phase counters nested under `phases` in
 /// `BENCH_results.json` — the other half of the trajectory contract (see
 /// [`DETERMINISTIC_TOP_FIELDS`]). These are merged from the winning
 /// trajectory in enumeration order, so they are identical at any thread
 /// count.
-pub const DETERMINISTIC_PHASE_FIELDS: &[DeterministicField<migrator::PhaseBreakdown>] = &[
-    ("sat_blocking_clauses", |p| p.sat_blocking_clauses as i128),
-    ("plans_compiled", |p| p.plans_compiled as i128),
-    ("solver_reuses", |p| p.solver_reuses as i128),
-    ("learned_clauses_kept", |p| p.learned_clauses_kept as i128),
-    ("prefix_cache_hits", |p| p.prefix_cache_hits as i128),
-    ("undo_frames", |p| p.undo_frames as i128),
-    ("undo_ops_rolled_back", |p| p.undo_ops_rolled_back as i128),
-    ("snapshots_taken", |p| p.snapshots_taken as i128),
-    ("snapshot_bytes_copied", |p| p.snapshot_bytes_copied as i128),
+pub const DETERMINISTIC_PHASE_FIELDS: &[&str] = &[
+    "sat_blocking_clauses",
+    "plans_compiled",
+    "solver_reuses",
+    "learned_clauses_kept",
+    "prefix_cache_hits",
+    "undo_frames",
+    "undo_ops_rolled_back",
+    "snapshots_taken",
+    "snapshot_bytes_copied",
 ];
+
+/// The deterministic fields on which two `BENCH_results.json` rows differ,
+/// one `label: old → new` line each: the [`DETERMINISTIC_TOP_FIELDS`], the
+/// [`DETERMINISTIC_PHASE_FIELDS`] (labelled `phases.<name>`) and the
+/// `succeeded` and `validated` flags. A field missing from a row reads
+/// `absent`. Empty when the rows agree.
+pub fn deterministic_drift(old: &Json, new: &Json) -> Vec<String> {
+    let read = |row: &Json, path: &[&str]| {
+        path.iter()
+            .try_fold(row, |json, key| json.get(key))
+            .cloned()
+    };
+    let render =
+        |value: Option<Json>| value.map_or("absent".to_string(), |v| v.to_compact_string());
+    let paths = DETERMINISTIC_TOP_FIELDS
+        .iter()
+        .map(|&name| vec![name])
+        .chain(
+            DETERMINISTIC_PHASE_FIELDS
+                .iter()
+                .map(|&name| vec!["phases", name]),
+        )
+        .chain([vec!["succeeded"], vec!["validated"]]);
+    paths
+        .filter_map(|path| {
+            let (old, new) = (read(old, &path), read(new, &path));
+            (old != new).then(|| format!("{}: {} → {}", path.join("."), render(old), render(new)))
+        })
+        .collect()
+}
 
 /// The CEGIS (Sketch stand-in) configuration used in Table 2 runs.
 pub fn cegis_config_for(benchmark: &Benchmark, time_limit: Duration) -> CegisConfig {
@@ -137,9 +162,7 @@ pub struct Table1Row {
     pub outcome: &'static str,
     /// Per-phase breakdown of the run: wall-clock times (never compared
     /// across runs) plus the deterministic counters
-    /// (`sat_blocking_clauses`, `plans_compiled`, `solver_reuses`,
-    /// `learned_clauses_kept`, `prefix_cache_hits`, `undo_frames`,
-    /// `undo_ops_rolled_back`) that `experiments check` verifies.
+    /// ([`DETERMINISTIC_PHASE_FIELDS`]) that `experiments check` verifies.
     pub phases: migrator::PhaseBreakdown,
 }
 
@@ -227,8 +250,7 @@ pub use sqlexec::DEFAULT_ROWS_PER_TABLE as VALIDATION_ROWS_PER_TABLE;
 
 /// Renders a measured row (plus its benchmark's metadata) as one entry of
 /// the machine-readable `BENCH_results.json`.
-pub fn row_to_json(benchmark: &Benchmark, row: &Table1Row) -> sqlbridge::Json {
-    use sqlbridge::Json;
+pub fn row_to_json(benchmark: &Benchmark, row: &Table1Row) -> Json {
     Json::object()
         .with("name", Json::str(&row.name))
         .with(
@@ -288,29 +310,96 @@ mod tests {
         );
     }
 
+    /// `row` with the field at `path` replaced by `value`.
+    fn replaced(row: &Json, path: &[&str], value: &Json) -> Json {
+        let Json::Object(entries) = row else {
+            panic!("rows are objects");
+        };
+        let entries = entries
+            .iter()
+            .map(|(key, old)| {
+                let new = match path {
+                    [last] if key == last => value.clone(),
+                    [first, rest @ ..] if key == first => replaced(old, rest, value),
+                    _ => old.clone(),
+                };
+                (key.clone(), new)
+            })
+            .collect();
+        Json::Object(entries)
+    }
+
+    /// `row` with every `*_secs` field, at any depth, set to an hour.
+    fn retimed(row: &Json) -> Json {
+        match row {
+            Json::Object(entries) => Json::Object(
+                entries
+                    .iter()
+                    .map(|(key, value)| {
+                        let value = if key.ends_with("_secs") {
+                            Json::from(3600.0)
+                        } else {
+                            retimed(value)
+                        };
+                        (key.clone(), value)
+                    })
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
     #[test]
     fn deterministic_allowlists_are_distinct_and_json_backed() {
-        // Every allowlisted field must exist (under its exact name) in the
-        // JSON a row renders to, or `check` would report spurious "absent"
-        // mismatches forever.
+        // Every allowlisted field must exist (under its exact name, as a
+        // count) in the JSON a row renders to, or the comparison would
+        // report spurious "absent" drift forever.
         let benchmark = benchmark_by_name("Ambler-4").unwrap();
         let row = run_table1(&benchmark, SketchSolverKind::MfiGuided);
         let json = row_to_json(&benchmark, &row);
-        for (name, extract) in DETERMINISTIC_TOP_FIELDS {
-            assert_eq!(
-                json.get(name).and_then(|v| v.as_i128()),
-                Some(extract(&row)),
-                "top-level field {name}"
-            );
-        }
         let phases = json.get("phases").unwrap();
-        for (name, extract) in DETERMINISTIC_PHASE_FIELDS {
-            assert_eq!(
-                phases.get(name).and_then(|v| v.as_i128()),
-                Some(extract(&row.phases)),
-                "phase field {name}"
-            );
+        for (list, object) in [
+            (DETERMINISTIC_TOP_FIELDS, &json),
+            (DETERMINISTIC_PHASE_FIELDS, phases),
+        ] {
+            for (i, name) in list.iter().enumerate() {
+                assert!(!list[..i].contains(name), "{name} is listed twice");
+                assert!(
+                    object.get(name).and_then(Json::as_i128).is_some(),
+                    "{name} is not a count in the row"
+                );
+            }
         }
+        assert_eq!(deterministic_drift(&json, &json), Vec::<String>::new());
+
+        // Wall-clock fields never count as drift.
+        assert_eq!(
+            deterministic_drift(&json, &retimed(&json)),
+            Vec::<String>::new()
+        );
+
+        // One top-level count, one phase counter and one flag changed: the
+        // drift names exactly those three, old value first.
+        let perturbed = [
+            (&["iterations"][..], Json::from(row.iters + 1)),
+            (&["phases", "undo_frames"][..], Json::from(1usize << 40)),
+            (&["validated"][..], Json::Bool(false)),
+        ]
+        .iter()
+        .fold(json.clone(), |row, (path, value)| {
+            replaced(&row, path, value)
+        });
+        let drift = deterministic_drift(&json, &perturbed);
+        let labels: Vec<&str> = drift
+            .iter()
+            .map(|line| line.split(':').next().unwrap())
+            .collect();
+        assert_eq!(labels, ["iterations", "phases.undo_frames", "validated"]);
+        assert_eq!(
+            drift[0],
+            format!("iterations: {} → {}", row.iters, row.iters + 1)
+        );
+        assert_eq!(drift[2], "validated: true → false");
     }
 
     #[test]

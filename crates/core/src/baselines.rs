@@ -4,12 +4,12 @@
 //!   Table 3: identical SAT encoding, but every failing candidate blocks
 //!   only its own full model instead of an MFI-derived partial assignment.
 //! * [`solve_cegis`] — a CEGIS-style enumerator standing in for the Sketch
-//!   tool of Table 2 (see DESIGN.md for the substitution rationale): hole
-//!   assignments are enumerated in an order oblivious to the sketch's
-//!   likelihood ranking (a fixed pseudo-random permutation per hole domain,
-//!   mirroring a SAT backend's ranking-agnostic model order), candidates are
-//!   first screened against the accumulated counterexample set, and no
-//!   structural learning is performed. On large sketches this baseline
+//!   tool of Table 2, an external solver this dependency-free workspace
+//!   cannot ship: hole assignments are enumerated in an order oblivious to
+//!   the sketch's likelihood ranking (a fixed pseudo-random permutation per
+//!   hole domain, mirroring a SAT backend's ranking-agnostic model order),
+//!   candidates are first screened against the accumulated counterexample
+//!   set, and no structural learning is performed. On large sketches this baseline
 //!   typically hits its candidate or time budget, which reproduces the
 //!   timeout behaviour the paper reports for Sketch.
 

@@ -386,12 +386,7 @@ pub fn complete_sketch(
                         iteration: stats.iterations,
                         adopted,
                     });
-                    if adopted {
-                        stats.speculation_adoptions += 1;
-                        Some(Some(spec_model))
-                    } else {
-                        Some(None)
-                    }
+                    Some(adopted.then_some(spec_model))
                 }
             }
         };
@@ -850,9 +845,17 @@ mod tests {
         assert!(single.program.is_none());
         assert_eq!(single.stats, multi.stats);
         assert_eq!(single_events, multi_events);
+        let adoptions = single_events
+            .iter()
+            .filter(|event| {
+                matches!(
+                    event,
+                    SynthesisEvent::CandidateSpeculated { adopted: true, .. }
+                )
+            })
+            .count();
         assert!(
-            single.stats.solver_reuses + single.stats.speculation_adoptions
-                >= single.stats.iterations as u64,
+            single.stats.solver_reuses + adoptions as u64 >= single.stats.iterations as u64,
             "every candidate after the first came from a reused solver or an adoption"
         );
     }

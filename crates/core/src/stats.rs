@@ -73,28 +73,24 @@ impl SynthesisStats {
 /// Two disciplines coexist here, and `experiments check` relies on the
 /// distinction:
 ///
-/// * **Deterministic counters** — `sat_blocking_clauses`, `plans_compiled`,
-///   `solver_reuses`, `learned_clauses_kept`, `prefix_cache_hits`,
-///   `undo_frames`, `undo_ops_rolled_back`, `snapshots_taken` and
-///   `snapshot_bytes_copied` are merged from the winning trajectory in
-///   enumeration order, so they are byte-identical at any thread count (the
-///   same contract as the synthesis event log). The incremental-solver
-///   counters are deterministic because candidate speculation *always*
-///   runs — [`parpool::join`] degrades to sequential execution rather than
+/// * **Deterministic counters** — `sat_blocking_clauses`, `solver_reuses`,
+///   `learned_clauses_kept` and every counter of [`checks`](Self::checks)
+///   are merged from the winning trajectory in enumeration order, so they
+///   are byte-identical at any thread count (the same contract as the
+///   synthesis event log). The incremental-solver counters are
+///   deterministic because candidate speculation *always* runs —
+///   [`parpool::join`] degrades to sequential execution rather than
 ///   skipping the probe — so the solver sees the same call sequence at any
-///   thread budget; prefix-cache resolution and plan compilation happen at
-///   sequential points of each check, through the sketch's own prefix
-///   cache, so hit and compile counts are a pure function of the sketch's
-///   candidate sequence; the snapshot and undo-log counters are
-///   deterministic because each check's per-root walk work is merged in
-///   root order (see [`CheckProfile`]).
-/// * **Wall-clock timings** — every `*_time` field. None of these may be
-///   compared across runs.
+///   thread budget; [`CheckProfile`] gives the reason for its own
+///   counters.
+/// * **Wall-clock timings** — every `*_time` field, here and in `checks`.
+///   None of these may be compared across runs.
 ///
-/// The time fields are not disjoint: `plan_compile_time`, `snapshot_time`
-/// and `oracle_time` all nest inside `bounded_testing_time`, which itself
-/// sums candidate checks across workers — so the sum of phases can exceed
-/// the run's wall time on a multi-threaded run.
+/// The time fields are not disjoint: `checks.plan_compile_time`,
+/// `checks.snapshot_time` and `oracle_time` all nest inside the bounded
+/// testing time (`checks.dfs_time + checks.plan_compile_time`), which
+/// itself sums candidate checks across workers — so the sum of phases can
+/// exceed the run's wall time on a multi-threaded run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Time spent enumerating value correspondences (MaxSAT queries).
@@ -104,13 +100,6 @@ pub struct PhaseBreakdown {
     /// Time spent completing sketches: SAT solving, decoding, instantiation
     /// and MFI learning (includes the nested bounded testing).
     pub completion_time: Duration,
-    /// Time spent inside bounded-testing equivalence checks (winning
-    /// trajectory plus the final verification pass).
-    pub bounded_testing_time: Duration,
-    /// Time spent compiling update/query plans for those checks.
-    pub plan_compile_time: Duration,
-    /// Time spent cloning instance snapshots inside the DFS walks.
-    pub snapshot_time: Duration,
     /// CPU time spent interpreting the source program on oracle misses —
     /// summed across *all* workers, including losing speculative attempts
     /// (the oracle is shared), so this is the one field that is not
@@ -118,45 +107,15 @@ pub struct PhaseBreakdown {
     pub oracle_time: Duration,
     /// Blocking clauses added by the SAT completion loop (deterministic).
     pub sat_blocking_clauses: usize,
-    /// Update/query plan compilations performed (deterministic).
-    pub plans_compiled: u64,
     /// Solver calls answered by a *reused* persistent solver — every call
     /// after the first on each sketch's incremental solver (deterministic).
     pub solver_reuses: u64,
     /// Conflict clauses learned and retained across blocking clauses by the
     /// persistent solvers of the winning trajectory (deterministic).
     pub learned_clauses_kept: u64,
-    /// Update-prefix executions served from the cross-candidate
-    /// [`PrefixCache`](dbir::equiv::PrefixCache) instead of being re-run
-    /// (deterministic).
-    pub prefix_cache_hits: u64,
-    /// Update calls executed in place with journaled inverses by the
-    /// bounded-testing walks (deterministic).
-    pub undo_frames: u64,
-    /// Row-level inverse operations replayed while backtracking
-    /// (deterministic).
-    pub undo_ops_rolled_back: u64,
-    /// Instance snapshots cloned — COW-cheap pointer copies
-    /// (deterministic).
-    pub snapshots_taken: u64,
-    /// Heap bytes physically copied for snapshots: clone overhead plus
-    /// copy-on-write table copies (deterministic).
-    pub snapshot_bytes_copied: u64,
-}
-
-impl PhaseBreakdown {
-    /// Merges one bounded-testing check's profile into the breakdown.
-    pub fn absorb_check(&mut self, profile: &CheckProfile) {
-        self.bounded_testing_time += profile.dfs_time + profile.plan_compile_time;
-        self.plan_compile_time += profile.plan_compile_time;
-        self.snapshot_time += profile.snapshot_time;
-        self.plans_compiled += profile.plans_compiled;
-        self.prefix_cache_hits += profile.prefix_cache_hits;
-        self.undo_frames += profile.undo_frames;
-        self.undo_ops_rolled_back += profile.undo_ops_rolled_back;
-        self.snapshots_taken += profile.snapshots_taken;
-        self.snapshot_bytes_copied += profile.snapshot_bytes_copied;
-    }
+    /// Every bounded-testing check of the winning trajectory plus the final
+    /// verification pass, folded with [`CheckProfile::merge`].
+    pub checks: CheckProfile,
 }
 
 /// Statistics for solving a single sketch.
@@ -183,9 +142,6 @@ pub struct SketchRunStats {
     /// Conflict clauses the persistent solver learned and retained across
     /// blocking clauses.
     pub learned_clauses_kept: u64,
-    /// Speculative models adopted as the next candidate without a fresh
-    /// solver call (they already satisfied the learned blocking clause).
-    pub speculation_adoptions: u64,
 }
 
 #[cfg(test)]
@@ -214,7 +170,6 @@ mod tests {
             blocking_clauses: 2,
             solver_reuses: 4,
             learned_clauses_kept: 7,
-            speculation_adoptions: 1,
         });
         stats.absorb_sketch_run(&SketchRunStats {
             iterations: 2,
@@ -225,7 +180,6 @@ mod tests {
             blocking_clauses: 1,
             solver_reuses: 2,
             learned_clauses_kept: 1,
-            speculation_adoptions: 0,
         });
         assert_eq!(stats.iterations, 5);
         assert_eq!(stats.invalid_instantiations, 1);
@@ -240,7 +194,7 @@ mod tests {
     #[test]
     fn check_profiles_fold_into_the_phase_breakdown() {
         let mut phases = PhaseBreakdown::default();
-        phases.absorb_check(&CheckProfile {
+        phases.checks.merge(&CheckProfile {
             plan_compile_time: Duration::from_millis(2),
             plans_compiled: 8,
             dfs_time: Duration::from_millis(10),
@@ -251,22 +205,29 @@ mod tests {
             undo_frames: 60,
             undo_ops_rolled_back: 200,
         });
-        phases.absorb_check(&CheckProfile {
+        phases.checks.merge(&CheckProfile {
+            plan_compile_time: Duration::from_millis(1),
             plans_compiled: 2,
+            dfs_time: Duration::from_millis(3),
             snapshots_taken: 1,
             prefix_cache_hits: 3,
             undo_frames: 4,
             undo_ops_rolled_back: 10,
             ..CheckProfile::default()
         });
-        assert_eq!(phases.bounded_testing_time, Duration::from_millis(12));
-        assert_eq!(phases.plan_compile_time, Duration::from_millis(2));
-        assert_eq!(phases.snapshot_time, Duration::from_millis(4));
-        assert_eq!(phases.plans_compiled, 10);
-        assert_eq!(phases.prefix_cache_hits, 8);
-        assert_eq!(phases.undo_frames, 64);
-        assert_eq!(phases.undo_ops_rolled_back, 210);
-        assert_eq!(phases.snapshots_taken, 101);
-        assert_eq!(phases.snapshot_bytes_copied, 4096);
+        assert_eq!(
+            phases.checks,
+            CheckProfile {
+                plan_compile_time: Duration::from_millis(3),
+                plans_compiled: 10,
+                dfs_time: Duration::from_millis(13),
+                snapshot_time: Duration::from_millis(4),
+                snapshots_taken: 101,
+                snapshot_bytes_copied: 4096,
+                prefix_cache_hits: 8,
+                undo_frames: 64,
+                undo_ops_rolled_back: 210,
+            }
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! The paper uses bounded testing to find minimum failing inputs and the
 //! Mediator verifier for the final equivalence proof. Mediator is a
 //! full-blown POPL'18 system for inferring bisimulation invariants; this
-//! reproduction substitutes a deeper bounded-testing pass (see DESIGN.md),
-//! which preserves the role verification plays in the synthesis loop: it is
+//! reproduction substitutes a deeper bounded-testing pass, which preserves
+//! the role verification plays in the synthesis loop: it is
 //! the last, most expensive check, and its cost is reported separately from
 //! synthesis time.
 

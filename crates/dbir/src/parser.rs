@@ -1096,7 +1096,7 @@ mod tests {
 
     /// A predicate nested past [`MAX_PRED_DEPTH`] is a positioned parse
     /// error, not a stack overflow, whichever construct nests it; one
-    /// exactly at the bound parses.
+    /// exactly at the bound parses, and so does its printed form.
     #[test]
     fn predicates_nested_past_the_bound_are_rejected() {
         let schema = Schema::parse("T(a: int)").unwrap();
@@ -1121,6 +1121,17 @@ mod tests {
         fn mixed(n: usize) -> String {
             format!("{}{}", parens(n / 2), " and a = x".repeat(n - n / 2))
         }
+        /// Right `and` and `or` operands, a left `and` operand and a `not`
+        /// in turn, each parenthesized around the next (two levels each):
+        /// the printer keeps some of these parentheses and drops the rest.
+        fn braided(n: usize) -> String {
+            (0..n / 2).fold("a = x".to_string(), |inner, i| match i % 6 {
+                0 | 1 => format!("a = x and ({inner})"),
+                2 | 3 => format!("a = x or ({inner})"),
+                4 => format!("({inner}) and a = x"),
+                _ => format!("not ({inner})"),
+            })
+        }
         let parse = |pred: String| parse_program(&format!("{clause}{pred};"), &schema);
 
         let deep: [fn(usize) -> String; 3] = [parens, nots, ands];
@@ -1139,6 +1150,19 @@ mod tests {
                 assert_eq!((line, column), (1, clause.len() + MAX_PRED_DEPTH + 1));
             }
             other => panic!("expected a parse error, got {other:?}"),
+        }
+
+        // Every nest within the bound prints in a form that parses back to
+        // the same program, so the printer adds no levels the parser counts.
+        let nestings: [fn(usize) -> String; 7] = [parens, nots, ands, ors, ins, mixed, braided];
+        for nesting in nestings {
+            for depth in 1..=MAX_PRED_DEPTH {
+                let program = parse(nesting(depth)).unwrap();
+                let printed = program_to_string(&program);
+                let reparsed = parse_program(&printed, &schema)
+                    .unwrap_or_else(|err| panic!("{err:?} re-parsing {printed}"));
+                assert_eq!(reparsed, program, "{printed}");
+            }
         }
     }
 

@@ -26,17 +26,43 @@ pub fn join_to_string(join: &JoinChain) -> String {
     }
 }
 
-/// Renders a predicate.
+/// Renders a predicate, parenthesizing an operand only where the parser's
+/// precedence requires it: `OR` binds loosest, then `AND`, then `NOT` and
+/// the atoms, and `AND`/`OR` chains associate to the left. The printed form
+/// parses back to the same predicate, and it nests no deeper than the text
+/// the predicate was parsed from, so whatever the parser accepted it
+/// accepts again once printed.
 pub fn pred_to_string(pred: &Pred) -> String {
+    // An operand binding more loosely than its context (`binding`) gets
+    // parentheses. A right operand with its chain's own operator counts as
+    // looser, or it would re-parse as part of the left-associated chain.
+    let operand = |inner: &Pred, binding: u8| {
+        let text = pred_to_string(inner);
+        if precedence(inner) < binding {
+            format!("({text})")
+        } else {
+            text
+        }
+    };
     match pred {
         Pred::True => "TRUE".to_string(),
         Pred::False => "FALSE".to_string(),
         Pred::CmpAttr { lhs, op, rhs } => format!("{lhs} {op} {rhs}"),
         Pred::CmpValue { lhs, op, rhs } => format!("{lhs} {op} {rhs}"),
         Pred::In { attr, query } => format!("{attr} IN ({})", query_to_string(query)),
-        Pred::And(a, b) => format!("({} AND {})", pred_to_string(a), pred_to_string(b)),
-        Pred::Or(a, b) => format!("({} OR {})", pred_to_string(a), pred_to_string(b)),
-        Pred::Not(p) => format!("NOT ({})", pred_to_string(p)),
+        Pred::And(a, b) => format!("{} AND {}", operand(a, 1), operand(b, 2)),
+        Pred::Or(a, b) => format!("{} OR {}", operand(a, 0), operand(b, 1)),
+        Pred::Not(p) => format!("NOT {}", operand(p, 2)),
+    }
+}
+
+/// How tightly a predicate's top operator binds: 0 for `OR`, 1 for `AND`,
+/// 2 for `NOT` and the atoms.
+fn precedence(pred: &Pred) -> u8 {
+    match pred {
+        Pred::Or(..) => 0,
+        Pred::And(..) => 1,
+        _ => 2,
     }
 }
 
@@ -252,8 +278,6 @@ mod tests {
             Pred::eq_value(qa("T", "a"), Operand::Value(Value::Int(1)))
                 .and(Pred::eq_value(qa("T", "b"), Operand::Value(Value::Int(2)))),
         ));
-        let text = pred_to_string(&p);
-        assert!(text.contains("NOT"));
-        assert!(text.contains("AND"));
+        assert_eq!(pred_to_string(&p), "NOT (T.a = 1 AND T.b = 2)");
     }
 }

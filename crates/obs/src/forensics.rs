@@ -1,8 +1,8 @@
 //! Search forensics: a deterministic ledger that explains *why* a
 //! synthesis run came up empty, not just how long it ran.
 //!
-//! The timing instruments ([`Trace`](crate::Trace), [`Metrics`](crate::Metrics))
-//! answer "where did the time go?". The [`SearchLedger`] answers the
+//! The span [`Trace`](crate::Trace) and the run's statistics answer
+//! "where did the time go?". The [`SearchLedger`] answers the
 //! questions a failed run raises: which value correspondences were
 //! rejected and for what reason (sketch generation failed, every
 //! completion blocked, iteration budget exhausted), which minimum failing

@@ -6,10 +6,6 @@
 //!   a human-readable tree or as Chrome trace-event JSON (loadable in
 //!   Perfetto / `chrome://tracing`), built with the in-tree
 //!   `sqlbridge::Json` writer;
-//! * [`Metrics`] — a registry of counters and timing histograms.  Counters
-//!   follow the event-log determinism contract (byte-identical at any
-//!   thread count when merged in enumeration order); timings are
-//!   wall-clock diagnostics and excluded from deterministic renderings;
 //! * [`PipelineEvent`] / [`PipelineObserver`] — stage events for ingest,
 //!   emission, backend execution and validation, complementing the
 //!   synthesis-loop event stream;
@@ -18,7 +14,7 @@
 //!   histograms, explaining *why* a synthesis run failed.
 //!
 //! ```
-//! use obs::{Metrics, PipelineEvent, PipelineEventLog, PipelineObserver, Trace};
+//! use obs::{PipelineEvent, PipelineEventLog, PipelineObserver, Trace};
 //! use std::time::Duration;
 //!
 //! // Spans nest by begin/end order and export as Chrome trace JSON.
@@ -28,12 +24,6 @@
 //! trace.add_phase(stage, "oracle", Duration::from_millis(2));
 //! let json = trace.to_chrome_json().to_pretty_string();
 //! assert!(json.contains("traceEvents"));
-//!
-//! // Counters render deterministically; timings stay out of that view.
-//! let metrics = Metrics::new();
-//! metrics.counter("synthesis.sketches_generated", 3);
-//! metrics.record_time("synthesis.wall", Duration::from_millis(14));
-//! assert_eq!(metrics.render_counters(), "synthesis.sketches_generated = 3\n");
 //!
 //! // Pipeline events narrate the stages outside the synthesis loop.
 //! let log = PipelineEventLog::new();
@@ -46,10 +36,8 @@
 
 mod event;
 mod forensics;
-mod metrics;
 mod trace;
 
 pub use event::{PipelineEvent, PipelineEventLog, PipelineObserver};
 pub use forensics::SearchLedger;
-pub use metrics::{Metrics, TimingStat};
 pub use trace::{SpanHandle, Trace};

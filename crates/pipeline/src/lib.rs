@@ -94,7 +94,7 @@ pub use job::{run_job, JobReport, JobSpec};
 pub use migrator::{CancelReason, CancelToken, SynthesisEvent};
 // Re-exported so facade clients need no direct dependency on the layer
 // crates for the common path.
-pub use obs::{Metrics, PipelineEvent, PipelineObserver, SearchLedger, Trace};
+pub use obs::{PipelineEvent, PipelineObserver, SearchLedger, Trace};
 // The thread budget governs the parallel CEGIS fan-out; clients that let
 // users pick a budget (the CLI's `--threads`) need the setter without a
 // direct parpool dependency.
@@ -103,8 +103,8 @@ pub use sqlbridge::{dialect_by_name, Json};
 pub use wire::{LineBus, LineBusSink, LineFollower, NdjsonError, NdjsonWriter};
 
 /// The observability hooks threaded through the stage outputs: an optional
-/// span [`Trace`], an optional [`Metrics`] registry and an optional
-/// [`PipelineObserver`] for stage events.
+/// span [`Trace`], an optional [`PipelineObserver`] for stage events and an
+/// optional forensics [`SearchLedger`].
 ///
 /// The context carries *instruments*, not data: two stage outputs that
 /// differ only in their attached instruments describe the same refactoring,
@@ -113,7 +113,6 @@ pub use wire::{LineBus, LineBusSink, LineFollower, NdjsonError, NdjsonWriter};
 #[derive(Clone, Default)]
 pub struct ObsContext {
     trace: Option<Arc<Trace>>,
-    metrics: Option<Arc<Metrics>>,
     observer: Option<Arc<dyn PipelineObserver>>,
     forensics: Option<Arc<SearchLedger>>,
 }
@@ -122,7 +121,6 @@ impl std::fmt::Debug for ObsContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsContext")
             .field("trace", &self.trace.is_some())
-            .field("metrics", &self.metrics.is_some())
             .field("observer", &self.observer.is_some())
             .field("forensics", &self.forensics.is_some())
             .finish()
@@ -139,18 +137,6 @@ impl ObsContext {
     fn event(&self, event: PipelineEvent) {
         if let Some(observer) = &self.observer {
             observer.pipeline_event(&event);
-        }
-    }
-
-    fn counter(&self, name: &str, value: u64) {
-        if let Some(metrics) = &self.metrics {
-            metrics.counter(name, value);
-        }
-    }
-
-    fn time(&self, name: &str, duration: Duration) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_time(name, duration);
         }
     }
 }
@@ -439,16 +425,6 @@ impl Refactoring {
         self
     }
 
-    /// Installs a [`Metrics`] registry.  Counters recorded by the pipeline
-    /// are restricted to deterministic quantities (merged in enumeration
-    /// order), so [`Metrics::render_counters`] is byte-identical at any
-    /// thread count; wall-clock phase timings go to the separate timing
-    /// channel, which is excluded from that deterministic view.
-    pub fn metrics(mut self, metrics: Arc<Metrics>) -> Refactoring {
-        self.obs.metrics = Some(metrics);
-        self
-    }
-
     /// Installs a [`PipelineObserver`] that receives one [`PipelineEvent`]
     /// per pipeline milestone: DDL parsed, SQL emitted, validation script
     /// staged and executed, instances compared.
@@ -548,20 +524,23 @@ impl Refactoring {
             );
             trace.end(span);
             let phases = &result.stats.phases;
+            let checks = &phases.checks;
             for (name, duration) in [
                 ("vc enumeration", phases.vc_enumeration_time),
                 ("sketch generation", phases.sketch_generation_time),
                 ("completion", phases.completion_time),
-                ("bounded testing", phases.bounded_testing_time),
-                ("plan compile", phases.plan_compile_time),
-                ("snapshot clone", phases.snapshot_time),
+                (
+                    "bounded testing",
+                    checks.dfs_time + checks.plan_compile_time,
+                ),
+                ("plan compile", checks.plan_compile_time),
+                ("snapshot clone", checks.snapshot_time),
                 ("oracle", phases.oracle_time),
                 ("final verification", result.stats.verification_time),
             ] {
                 trace.add_phase(span, name, duration);
             }
         }
-        self.record_synthesis_metrics(&result.stats);
         match (result.program, result.correspondence) {
             (Some(migrated), Some(correspondence)) => Ok(Synthesized {
                 source_schema: self.source_schema.clone(),
@@ -576,59 +555,6 @@ impl Refactoring {
                 outcome: result.outcome,
                 stats: Box::new(result.stats),
             }),
-        }
-    }
-
-    /// Folds a finished run's statistics into the metrics registry.
-    ///
-    /// Counters are restricted to quantities merged from the winning
-    /// trajectory in enumeration order, so the rendered counter view is
-    /// byte-identical at any thread count.  Wall-clock phase timings go to
-    /// the timing channel, which the deterministic view excludes.
-    fn record_synthesis_metrics(&self, stats: &SynthesisStats) {
-        if self.obs.metrics.is_none() {
-            return;
-        }
-        let counters: [(&str, u64); 8] = [
-            (
-                "synthesis.value_correspondences",
-                stats.value_correspondences as u64,
-            ),
-            ("synthesis.iterations", stats.iterations as u64),
-            (
-                "synthesis.sketches_generated",
-                stats.sketches_generated as u64,
-            ),
-            (
-                "synthesis.invalid_instantiations",
-                stats.invalid_instantiations as u64,
-            ),
-            ("synthesis.sequences_tested", stats.sequences_tested as u64),
-            ("synthesis.truncated_checks", stats.truncated_checks as u64),
-            (
-                "phase.sat_blocking_clauses",
-                stats.phases.sat_blocking_clauses as u64,
-            ),
-            ("phase.plans_compiled", stats.phases.plans_compiled),
-        ];
-        for (name, value) in counters {
-            self.obs.counter(name, value);
-        }
-        let timings: [(&str, Duration); 8] = [
-            ("phase.vc_enumeration", stats.phases.vc_enumeration_time),
-            (
-                "phase.sketch_generation",
-                stats.phases.sketch_generation_time,
-            ),
-            ("phase.completion", stats.phases.completion_time),
-            ("phase.bounded_testing", stats.phases.bounded_testing_time),
-            ("phase.plan_compile", stats.phases.plan_compile_time),
-            ("phase.snapshot_clone", stats.phases.snapshot_time),
-            ("phase.oracle", stats.phases.oracle_time),
-            ("stage.verification", stats.verification_time),
-        ];
-        for (name, duration) in timings {
-            self.obs.time(name, duration);
         }
     }
 }
@@ -682,9 +608,6 @@ impl Synthesized {
             trace.set_arg(span, "statements", Json::from(script.statements.len()));
             trace.end(span);
         }
-        self.obs.counter("emit.functions", functions.len() as u64);
-        self.obs
-            .counter("emit.statements", script.statements.len() as u64);
         self.obs.event(PipelineEvent::Emitted {
             dialect: dialect.name().to_string(),
             functions: functions.len(),
@@ -810,12 +733,6 @@ impl Emitted {
             trace.end(span);
         }
         let outcome = result.map_err(|source| RefactorError::Backend { source })?;
-        self.obs.counter(
-            "validate.tables_compared",
-            self.target_schema.tables().len() as u64,
-        );
-        self.obs
-            .counter("validate.diffs", outcome.diffs.len() as u64);
         Ok(Validated { outcome })
     }
 }

@@ -1,65 +1,52 @@
 //! Machine-readable reports: the typed stage outputs rendered as one JSON
 //! document (the `migrate --json` payload).
 
+use std::time::Duration;
+
 use migrator::{PhaseBreakdown, SynthesisOutcome, SynthesisStats, ValueCorrespondence};
 use sqlbridge::Json;
 use sqlexec::ValidationOutcome;
 
 use crate::{Emitted, Synthesized};
 
-/// Renders the per-phase breakdown as a JSON object.
+/// Renders the per-phase breakdown as a JSON object. This is the one
+/// place that names each phase field; the experiments harness reads the
+/// counters back from this JSON.
 ///
 /// The counters are exact and identical at any thread count; the `*_secs`
-/// fields are wall-clock and must never be compared across runs. The
-/// experiments harness checks every counter (`sat_blocking_clauses`,
-/// `plans_compiled`, `solver_reuses`, `learned_clauses_kept`,
-/// `prefix_cache_hits`, `undo_frames`, `undo_ops_rolled_back`,
-/// `snapshots_taken`, `snapshot_bytes_copied`).
+/// fields are wall-clock and must never be compared across runs.
+/// `bounded_testing_secs` is the checks' walk plus their preparation
+/// (`dfs_time + plan_compile_time`). The experiments harness checks every
+/// counter (`sat_blocking_clauses`, `plans_compiled`, `solver_reuses`,
+/// `learned_clauses_kept`, `prefix_cache_hits`, `undo_frames`,
+/// `undo_ops_rolled_back`, `snapshots_taken`, `snapshot_bytes_copied`).
 pub fn phases_json(phases: &PhaseBreakdown) -> Json {
+    let checks = &phases.checks;
+    let secs = |time: Duration| Json::from(time.as_secs_f64());
+    let count = |value: u64| Json::from(value as usize);
     Json::object()
-        .with(
-            "vc_enumeration_secs",
-            phases.vc_enumeration_time.as_secs_f64().into(),
-        )
+        .with("vc_enumeration_secs", secs(phases.vc_enumeration_time))
         .with(
             "sketch_generation_secs",
-            phases.sketch_generation_time.as_secs_f64().into(),
+            secs(phases.sketch_generation_time),
         )
-        .with(
-            "completion_secs",
-            phases.completion_time.as_secs_f64().into(),
-        )
+        .with("completion_secs", secs(phases.completion_time))
         .with(
             "bounded_testing_secs",
-            phases.bounded_testing_time.as_secs_f64().into(),
+            secs(checks.dfs_time + checks.plan_compile_time),
         )
-        .with(
-            "plan_compile_secs",
-            phases.plan_compile_time.as_secs_f64().into(),
-        )
-        .with("snapshot_secs", phases.snapshot_time.as_secs_f64().into())
-        .with("oracle_secs", phases.oracle_time.as_secs_f64().into())
+        .with("plan_compile_secs", secs(checks.plan_compile_time))
+        .with("snapshot_secs", secs(checks.snapshot_time))
+        .with("oracle_secs", secs(phases.oracle_time))
         .with("sat_blocking_clauses", phases.sat_blocking_clauses.into())
-        .with("plans_compiled", (phases.plans_compiled as usize).into())
-        .with("solver_reuses", (phases.solver_reuses as usize).into())
-        .with(
-            "learned_clauses_kept",
-            (phases.learned_clauses_kept as usize).into(),
-        )
-        .with(
-            "prefix_cache_hits",
-            (phases.prefix_cache_hits as usize).into(),
-        )
-        .with("undo_frames", (phases.undo_frames as usize).into())
-        .with(
-            "undo_ops_rolled_back",
-            (phases.undo_ops_rolled_back as usize).into(),
-        )
-        .with("snapshots_taken", (phases.snapshots_taken as usize).into())
-        .with(
-            "snapshot_bytes_copied",
-            (phases.snapshot_bytes_copied as usize).into(),
-        )
+        .with("plans_compiled", count(checks.plans_compiled))
+        .with("solver_reuses", count(phases.solver_reuses))
+        .with("learned_clauses_kept", count(phases.learned_clauses_kept))
+        .with("prefix_cache_hits", count(checks.prefix_cache_hits))
+        .with("undo_frames", count(checks.undo_frames))
+        .with("undo_ops_rolled_back", count(checks.undo_ops_rolled_back))
+        .with("snapshots_taken", count(checks.snapshots_taken))
+        .with("snapshot_bytes_copied", count(checks.snapshot_bytes_copied))
 }
 
 /// Renders synthesis statistics as a JSON object.
@@ -223,4 +210,56 @@ pub fn explain_json(
     ledger: &crate::SearchLedger,
 ) -> Json {
     failure_json(outcome, stats, Some(ledger))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dbir::equiv::CheckProfile;
+
+    #[test]
+    fn phases_render_every_field_in_order_with_bounded_testing_summed() {
+        let phases = PhaseBreakdown {
+            sat_blocking_clauses: 3,
+            checks: CheckProfile {
+                plan_compile_time: Duration::from_millis(250),
+                dfs_time: Duration::from_millis(500),
+                plans_compiled: 7,
+                ..CheckProfile::default()
+            },
+            ..PhaseBreakdown::default()
+        };
+        let json = phases_json(&phases);
+        let Json::Object(entries) = &json else {
+            panic!("phases render as an object");
+        };
+        let keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "vc_enumeration_secs",
+                "sketch_generation_secs",
+                "completion_secs",
+                "bounded_testing_secs",
+                "plan_compile_secs",
+                "snapshot_secs",
+                "oracle_secs",
+                "sat_blocking_clauses",
+                "plans_compiled",
+                "solver_reuses",
+                "learned_clauses_kept",
+                "prefix_cache_hits",
+                "undo_frames",
+                "undo_ops_rolled_back",
+                "snapshots_taken",
+                "snapshot_bytes_copied",
+            ]
+        );
+        let secs = |key: &str| json.get(key).and_then(Json::as_f64);
+        assert_eq!(secs("bounded_testing_secs"), Some(0.75));
+        assert_eq!(secs("plan_compile_secs"), Some(0.25));
+        let count = |key: &str| json.get(key).and_then(Json::as_i128);
+        assert_eq!(count("sat_blocking_clauses"), Some(3));
+        assert_eq!(count("plans_compiled"), Some(7));
+    }
 }

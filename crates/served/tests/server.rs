@@ -4,6 +4,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use migrator::{CancelToken, SynthesisEvent, SynthesisObserver};
@@ -92,6 +93,29 @@ fn watch_lines(addr: &str, id: u64) -> Vec<String> {
         .expect("utf-8 stream")
         .lines()
         .map(str::to_string)
+        .collect()
+}
+
+/// Opens a watch connection for each job and sends its `watch` line from
+/// the calling thread; only the reading happens on the returned threads.
+/// The server accepts connections in the order they were opened, so every
+/// watch is accepted before any request sent after this returns — a
+/// shutdown included — and follows its job to the terminal line.
+fn watch_in_background(addr: &str, ids: &[u64]) -> Vec<JoinHandle<Vec<String>>> {
+    ids.iter()
+        .map(|&id| {
+            let mut connection = TcpStream::connect(addr).expect("connect");
+            let watch = Json::object()
+                .with("cmd", Json::str("watch"))
+                .with("id", Json::from(id as usize));
+            writeln!(connection, "{}", watch.to_compact_string()).expect("send watch");
+            std::thread::spawn(move || {
+                BufReader::new(connection)
+                    .lines()
+                    .map(|line| line.expect("stream line"))
+                    .collect()
+            })
+        })
         .collect()
 }
 
@@ -285,6 +309,10 @@ fn budget_overrun_reports_timeout_with_forensics() {
 
 #[test]
 fn cancel_stops_a_running_job_as_cancelled() {
+    // At a thread limit of 1 a job needs no thread-budget token, so it
+    // starts at once even while another test's job holds the budget.
+    let _guard = limit_lock();
+    parpool::set_thread_limit(1);
     let spec = benchmark_spec("MathHotSpot", "widened");
 
     let server = Server::start(ServerConfig::default()).expect("server starts");
@@ -311,10 +339,16 @@ fn cancel_stops_a_running_job_as_cancelled() {
 
     server.shutdown(ShutdownMode::Drain);
     server.wait();
+    parpool::set_thread_limit(0);
 }
 
 #[test]
 fn cancelling_shutdown_retires_running_and_queued_jobs() {
+    // At a thread limit of 1 a job needs no thread-budget token, so the
+    // long job starts at once even while another test's job holds the
+    // budget.
+    let _guard = limit_lock();
+    parpool::set_thread_limit(1);
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
@@ -330,13 +364,7 @@ fn cancelling_shutdown_retires_running_and_queued_jobs() {
 
     // Subscribe before requesting shutdown: once the last job retires the
     // server stops and the listener goes away.
-    let watchers: Vec<_> = [running, queued]
-        .into_iter()
-        .map(|id| {
-            let addr = addr.clone();
-            std::thread::spawn(move || watch_lines(&addr, id))
-        })
-        .collect();
+    let watchers = watch_in_background(&addr, &[running, queued]);
 
     let reply = request(
         &addr,
@@ -359,6 +387,7 @@ fn cancelling_shutdown_retires_running_and_queued_jobs() {
     assert_eq!(queued_lines.len(), 1, "a never-started job is just sealed");
 
     server.wait();
+    parpool::set_thread_limit(0);
 }
 
 #[test]
@@ -375,13 +404,7 @@ fn draining_shutdown_finishes_queued_work_and_rejects_new_jobs() {
     // while the rename job waits behind it in the queue.
     let first = submit(&addr, &benchmark_spec("MathHotSpot", "standard")).expect("submit");
     let second = submit(&addr, &move_spec()).expect("submit");
-    let watchers: Vec<_> = [first, second]
-        .into_iter()
-        .map(|id| {
-            let addr = addr.clone();
-            std::thread::spawn(move || watch_lines(&addr, id))
-        })
-        .collect();
+    let watchers = watch_in_background(&addr, &[first, second]);
 
     let reply = request(&addr, &Json::object().with("cmd", Json::str("shutdown")))
         .expect("shutdown accepted");
