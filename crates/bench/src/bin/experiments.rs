@@ -29,12 +29,12 @@
 //! through [`bench::deterministic_drift`] — the allowlists
 //! [`bench::DETERMINISTIC_TOP_FIELDS`] and
 //! [`bench::DETERMINISTIC_PHASE_FIELDS`], plus the success and validation
-//! flags (wall time, thread count, oracle hits and the allocation proxies
-//! are machine- or scheduling-dependent and excluded). Mismatches are
-//! reported field by field in a `### Mismatches` section, as
-//! `committed → measured` like `cmp`'s drift, with a one-line summary count
-//! on stderr. `--only` is repeatable. Exits non-zero on any mismatch, so a
-//! search-behaviour regression fails the build.
+//! flags (wall time, thread count and the allocation proxies are
+//! machine- or scheduling-dependent and excluded). Mismatches are reported
+//! field by field in a `### Mismatches` section, as `committed → measured`
+//! like `cmp`'s drift, with a one-line summary count on stderr. `--only`
+//! is repeatable. Exits non-zero on any mismatch, so a search-behaviour
+//! regression fails the build.
 //!
 //! `known-red` is the frontier gate: every benchmark outside the known-red
 //! list must keep synthesizing and validating under the standard

@@ -51,9 +51,9 @@ fn lean_testing_for(benchmark: &Benchmark, config: &mut SynthesisConfig) {
 
 /// The deterministic trajectory contract: the top-level `BENCH_results.json`
 /// counts `experiments check` and `experiments cmp` compare (see
-/// [`deterministic_drift`]). Everything not listed here (wall time,
-/// oracle-hit counters, interner sizes, the process-wide snapshot peak) is
-/// machine- or scheduling-dependent and deliberately excluded.
+/// [`deterministic_drift`]). Everything not listed here (wall time, interner
+/// sizes, the process-wide snapshot peak) is machine- or
+/// scheduling-dependent and deliberately excluded.
 pub const DETERMINISTIC_TOP_FIELDS: &[&str] =
     &["value_correspondences", "iterations", "sequences_tested"];
 
@@ -143,8 +143,6 @@ pub struct Table1Row {
     /// `true` when every accepting equivalence check exhausted its bound
     /// (i.e. `truncated_checks == 0`).
     pub bound_exhausted: bool,
-    /// Source-side sequences served from the memoized source oracle.
-    pub oracle_hits: usize,
     /// Largest single physical snapshot copy (bytes) performed by the
     /// bounded-testing engine during this run — a COW clone's pointer
     /// overhead or one copy-on-write table copy — an allocation proxy that
@@ -234,7 +232,6 @@ fn row_from_stats(
         sequences_tested: stats.sequences_tested,
         truncated_checks: stats.truncated_checks,
         bound_exhausted: stats.truncated_checks == 0,
-        oracle_hits: stats.oracle_hits,
         peak_snapshot_bytes: dbir::equiv::snapshot_peak_bytes(),
         interned_bytes: dbir::intern::stats().total_bytes(),
         validated,
@@ -269,7 +266,6 @@ pub fn row_to_json(benchmark: &Benchmark, row: &Table1Row) -> Json {
         .with("sequences_tested", row.sequences_tested.into())
         .with("truncated_checks", row.truncated_checks.into())
         .with("bound_exhausted", Json::Bool(row.bound_exhausted))
-        .with("oracle_hits", row.oracle_hits.into())
         .with("peak_snapshot_bytes", row.peak_snapshot_bytes.into())
         .with("interned_bytes", row.interned_bytes.into())
         .with(

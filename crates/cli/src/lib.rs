@@ -120,8 +120,8 @@ On a failed run the document embeds the forensics summary under
 --trace writes a Chrome trace-event JSON file (loadable in Perfetto or
 chrome://tracing) with one span per pipeline stage — ingest, synthesize,
 emit, validate — and the synthesis phases (enumeration, sketching,
-completion, bounded testing, oracle, ...) as aggregated spans on a second
-track. The file is written even when synthesis fails.
+completion, bounded testing, plan compile, ...) as aggregated spans on a
+second track. The file is written even when synthesis fails.
 
 --events streams every synthesis and pipeline event to a file as JSON
 lines (one object per line, strictly increasing `seq`, a terminal

@@ -606,7 +606,13 @@ fn trace_flag_writes_chrome_trace_and_progress_streams_events() {
         .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
         .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
         .collect();
-    for required in ["ingest", "synthesize", "emit", "validate", "oracle"] {
+    for required in [
+        "ingest",
+        "synthesize",
+        "emit",
+        "validate",
+        "bounded testing",
+    ] {
         assert!(
             names.contains(&required),
             "missing `{required}` in {names:?}"

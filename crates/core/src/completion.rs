@@ -188,10 +188,10 @@ impl<'a> CompletionControls<'a> {
 /// that is equivalent to `source` (within the bounded-testing
 /// configuration), or reports failure when the space is exhausted.
 ///
-/// The source program and schema travel inside `oracle`, which memoizes the
-/// source's outcome per invocation sequence — every candidate is checked
-/// against the same source, so across the completion loop each sequence is
-/// interpreted on the source at most once.
+/// The source program and schema travel inside `oracle`, the source side
+/// of every check in the completion loop: each candidate is checked against
+/// the same source, through one `PrefixCache` per sketch, which compiles
+/// the source's plans once and executes its shortest update prefixes once.
 ///
 /// `testing` is used to search for minimum failing inputs; `verification`
 /// is the deeper final check a candidate must pass before being returned.

@@ -33,9 +33,6 @@ pub struct SynthesisStats {
     /// the run genuinely exhausted its bound (`bound_exhausted` held for
     /// all of them); a non-zero value flags optimistic acceptances.
     pub truncated_checks: usize,
-    /// Number of source-side invocation sequences served from the memoized
-    /// source oracle instead of being re-interpreted.
-    pub oracle_hits: usize,
     /// Time spent in synthesis proper: value-correspondence enumeration,
     /// sketch generation and sketch completion including MFI search
     /// (Table 1, "Synth Time").
@@ -86,11 +83,11 @@ impl SynthesisStats {
 /// * **Wall-clock timings** — every `*_time` field, here and in `checks`.
 ///   None of these may be compared across runs.
 ///
-/// The time fields are not disjoint: `checks.plan_compile_time`,
-/// `checks.snapshot_time` and `oracle_time` all nest inside the bounded
-/// testing time (`checks.dfs_time + checks.plan_compile_time`), which
-/// itself sums candidate checks across workers — so the sum of phases can
-/// exceed the run's wall time on a multi-threaded run.
+/// The time fields are not disjoint: `checks.plan_compile_time` and
+/// `checks.snapshot_time` both nest inside the bounded testing time
+/// (`checks.dfs_time + checks.plan_compile_time`), which itself sums
+/// candidate checks across workers — so the sum of phases can exceed the
+/// run's wall time on a multi-threaded run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Time spent enumerating value correspondences (MaxSAT queries).
@@ -100,11 +97,6 @@ pub struct PhaseBreakdown {
     /// Time spent completing sketches: SAT solving, decoding, instantiation
     /// and MFI learning (includes the nested bounded testing).
     pub completion_time: Duration,
-    /// CPU time spent interpreting the source program on oracle misses —
-    /// summed across *all* workers, including losing speculative attempts
-    /// (the oracle is shared), so this is the one field that is not
-    /// restricted to the winning trajectory.
-    pub oracle_time: Duration,
     /// Blocking clauses added by the SAT completion loop (deterministic).
     pub sat_blocking_clauses: usize,
     /// Solver calls answered by a *reused* persistent solver — every call

@@ -227,10 +227,10 @@ impl Synthesizer {
         let mut enumerator =
             VcEnumerator::new(source, source_schema, target_schema, &self.config.vc);
 
-        // One memoized source oracle for the whole run: the source program's
-        // outcome per invocation sequence is identical across every candidate
-        // of every sketch — and every worker thread — so it is interpreted at
-        // most once per sequence across the entire run.
+        // One source oracle for the whole run: the source side of every
+        // check, whose call ids key the prefix caches of every sketch. It
+        // keeps no outcomes — each check evaluates the source's queries on
+        // its own walk, which costs less than a memo lookup.
         let oracle = SourceOracle::new(source, source_schema);
 
         // Generates the sketch for one correspondence and completes it,
@@ -427,8 +427,6 @@ impl Synthesizer {
                         } => {
                             stats.sequences_tested += sequences_tested;
                             stats.truncated_checks += usize::from(!bound_exhausted);
-                            stats.oracle_hits = oracle.hits();
-                            stats.phases.oracle_time = oracle.compute_time();
                             return SynthesisResult {
                                 program: Some(program),
                                 correspondence: Some(phi.clone()),
@@ -444,8 +442,6 @@ impl Synthesizer {
                             // verified program in hand beats reporting
                             // `Timeout` with nothing.
                             stats.sequences_tested += sequences_tested;
-                            stats.oracle_hits = oracle.hits();
-                            stats.phases.oracle_time = oracle.compute_time();
                             return SynthesisResult {
                                 program: Some(program),
                                 correspondence: Some(phi.clone()),
@@ -472,8 +468,6 @@ impl Synthesizer {
         }
 
         stats.synthesis_time = synthesis_start.elapsed();
-        stats.oracle_hits = oracle.hits();
-        stats.phases.oracle_time = oracle.compute_time();
         let outcome = if interrupted {
             let reason = token.reason().unwrap_or(CancelReason::Cancelled);
             emit(&SynthesisEvent::RunInterrupted { reason });
@@ -623,20 +617,17 @@ mod tests {
         assert_eq!(counters(&single.stats), counters(&multi.stats));
     }
 
-    /// `stats` with its wall-clock times and `oracle_hits` zeroed: every
-    /// counter the thread budget must not change. The oracle is shared with
-    /// losing speculative attempts, so its hit count depends on scheduling.
+    /// `stats` with its wall-clock times zeroed: every counter the thread
+    /// budget must not change.
     fn counters(stats: &SynthesisStats) -> SynthesisStats {
         let phases = &stats.phases;
         SynthesisStats {
-            oracle_hits: 0,
             synthesis_time: Duration::ZERO,
             verification_time: Duration::ZERO,
             phases: PhaseBreakdown {
                 vc_enumeration_time: Duration::ZERO,
                 sketch_generation_time: Duration::ZERO,
                 completion_time: Duration::ZERO,
-                oracle_time: Duration::ZERO,
                 checks: CheckProfile {
                     plan_compile_time: Duration::ZERO,
                     dfs_time: Duration::ZERO,

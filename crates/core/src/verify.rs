@@ -79,8 +79,9 @@ impl CheckOutcome {
 /// failing input when the programs disagree.
 ///
 /// Builds a throwaway [`SourceOracle`] internally; callers checking many
-/// candidates against one source should use [`check_candidate_cached`] so
-/// the source side is interpreted once per sequence across the whole run.
+/// candidates against one source should use [`check_candidate_cached`]
+/// with one oracle and one [`PrefixCache`], so the checks share call ids,
+/// compiled plans and executed prefix states.
 pub fn check_candidate(
     source: &Program,
     source_schema: &Schema,
@@ -92,9 +93,9 @@ pub fn check_candidate(
     check_candidate_cached(&oracle, candidate, target_schema, config, None, None, None)
 }
 
-/// Checks a candidate against the source program `oracle` holds, reusing
-/// (and filling) the oracle's memo shared across the candidates — and
-/// worker threads — of a synthesis run.
+/// Checks a candidate against the source program `oracle` holds — the
+/// source side shared by the candidates, and worker threads, of a
+/// synthesis run.
 ///
 /// The optional arguments are those of [`compare_with_oracle`]: `cancel`
 /// is polled inside the walk and turns the outcome into

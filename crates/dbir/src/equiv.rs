@@ -33,17 +33,12 @@
 //!   engines produce identical [`EquivalenceReport`]s (same counterexample,
 //!   same minimality, same `sequences_tested`) on random programs.
 //!
-//! On top of prefix sharing, a [`SourceOracle`] memoizes the *source*
-//! program's outcome per invocation sequence. During synthesis the source is
-//! fixed while many candidates are checked against it, so across a synthesis
-//! run each sequence is interpreted on the source at most once. The memo
-//! stores update prefixes as a trie — each prefix is a node reached from its
-//! parent by one interned update call — and each sequence as one
-//! fixed-width `(prefix node, query call id)` entry pointing into a table of
-//! distinct outcomes, so an entry costs no heap allocation of its own
-//! whatever the bound. The oracle is `Sync` (trie, entries and outcomes are
-//! striped across mutex-guarded shards), so that single at-most-once
-//! guarantee spans *all* worker threads.
+//! A [`SourceOracle`] is the source side of every check of a synthesis run:
+//! the fixed source program, its schema and the interned call ids that
+//! cache keys are made of. It memoizes no outcomes. The walk keeps the
+//! source's state after every prefix anyway, so each leaf evaluates the
+//! source query on it — one compiled query, which costs less than looking
+//! a sequence up in a memo would.
 //!
 //! Plans are compiled once per sketch, not once per check: a check compiles
 //! each update and query call it tests through the [`PrefixCache`] it is
@@ -84,9 +79,9 @@
 //! program, so omitting them preserves both soundness and minimality of the
 //! search at a given bound.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use parpool::{CancelToken, StopCtx};
@@ -268,8 +263,8 @@ pub struct CheckProfile {
     pub plan_compile_time: Duration,
     /// Number of update/query plan compilations performed.
     pub plans_compiled: u64,
-    /// Time spent walking the prefix-shared search tree (includes nested
-    /// oracle interpretation and snapshot copying).
+    /// Time spent walking the prefix-shared search tree (includes both
+    /// sides' query evaluation and snapshot copying).
     pub dfs_time: Duration,
     /// Time spent cloning instance snapshots inside the walk. COW clones
     /// only — the in-place walk takes no per-node clones.
@@ -312,9 +307,10 @@ impl CheckProfile {
     }
 }
 
-/// Locally accumulated snapshot and undo-log accounting for one walk: the
-/// physical-copy high-water mark plus clone/journal counters, folded into
-/// the caller's [`CheckProfile`] (and the process-wide peak) once per
+/// Locally accumulated accounting for one walk: the physical-copy
+/// high-water mark, clone/journal counters and the source queries its
+/// leaves evaluated, folded into the caller's [`CheckProfile`] (and the
+/// process-wide peak, and the oracle's [`SourceOracle::computes`]) once per
 /// subtree instead of per node. Clones are clocked only when `timed` is
 /// set, so unprofiled checks pay no clock reads on the hot path.
 #[derive(Debug, Clone, Copy, Default)]
@@ -325,6 +321,7 @@ struct SnapStats {
     nanos: u64,
     frames: u64,
     undone: u64,
+    src_queries: usize,
     timed: bool,
 }
 
@@ -343,16 +340,16 @@ impl SnapStats {
         self.nanos += other.nanos;
         self.frames += other.frames;
         self.undone += other.undone;
+        self.src_queries += other.src_queries;
     }
 }
 
-/// A minimal FNV-1a hasher for the oracle's interned-id keys.
+/// A minimal FNV-1a hasher for the prefix cache's maps.
 ///
-/// The memo is probed once per tested sequence and once per walked trie
-/// edge — millions of times per check — with keys packed from two `u32`
-/// ids, exactly the shape FNV is good at. (DoS-resistant hashing is
-/// pointless here: keys are internal interned ids, not attacker-controlled
-/// input.)
+/// The cache is probed for every call a check compiles and every prefix it
+/// resolves, with keys made of small interned ids — exactly the shape FNV
+/// is good at. (DoS-resistant hashing is pointless here: keys are internal
+/// interned ids, not attacker-controlled input.)
 #[derive(Debug, Clone)]
 struct FnvHasher(u64);
 
@@ -378,123 +375,38 @@ impl std::hash::Hasher for FnvHasher {
 
 type FnvBuild = std::hash::BuildHasherDefault<FnvHasher>;
 
-/// Packs two `u32` ids into one fixed-width memo key.
-fn pair(high: u32, low: u32) -> u64 {
-    (u64::from(high) << 32) | u64::from(low)
-}
-
-/// The trie node of the empty update prefix.
-const ROOT: u32 = 0;
-
-/// One stripe of the oracle's memo. A trie node's outgoing edges and the
-/// entries of the sequences ending at it live in shard `node % SHARDS`.
-#[derive(Debug, Default)]
-struct OracleShard {
-    /// Trie edges: `(parent node, update call id)` → child node.
-    children: HashMap<u64, u32, FnvBuild>,
-    /// Memoized sequences: `(prefix node, query call id)` → index into
-    /// `outcomes`.
-    entries: HashMap<u64, u32, FnvBuild>,
-    /// The distinct outcomes of this shard's entries, each stored once.
-    outcomes: Vec<Arc<Outcome>>,
-    /// Each stored outcome's index in `outcomes`.
-    outcome_ids: HashMap<Arc<Outcome>, u32>,
-}
-
-impl OracleShard {
-    /// Memoizes `outcome` for `key` and returns it as stored.
-    fn insert(&mut self, key: u64, outcome: Outcome) -> &Outcome {
-        let index = match self.outcome_ids.get(&outcome) {
-            Some(&index) => index,
-            None => {
-                let index = u32::try_from(self.outcomes.len())
-                    .expect("more than u32::MAX distinct outcomes in one shard");
-                let outcome = Arc::new(outcome);
-                self.outcomes.push(Arc::clone(&outcome));
-                self.outcome_ids.insert(outcome, index);
-                index
-            }
-        };
-        self.entries.insert(key, index);
-        &self.outcomes[index as usize]
-    }
-}
-
-/// Memoizes the source program's observable outcome per invocation sequence.
+/// The source side of every bounded check: the source program, its schema,
+/// and the `u32` ids of the calls that [`PrefixCache`] keys are made of.
 ///
-/// During sketch completion the source program is fixed while many candidate
-/// programs are checked against it, and every check replays largely the same
-/// invocation sequences on the source side. Threading one oracle through all
-/// checks of a synthesis run means each sequence is interpreted on the
-/// source at most once; subsequent candidates only pay for their own (target)
-/// side.
+/// During sketch completion the source program is fixed while many
+/// candidate programs are checked against it, so one oracle is threaded
+/// through every check of a synthesis run — and shared by its worker
+/// threads — and each distinct [`Call`] keeps one id for the whole run.
+/// Calls are interned behind a read-mostly `RwLock`, consulted once per
+/// call while a check is prepared, not while it walks.
 ///
-/// Every distinct [`Call`] is interned to a `u32` (behind a read-mostly
-/// `RwLock`, consulted once per call while a check is prepared, not while it
-/// walks). Update prefixes form a trie whose nodes are `u32`s: the empty
-/// prefix is the root, and extending a prefix by one update call follows
-/// the `(parent node, call id)` edge. A memoized sequence is one
-/// `(prefix node, query call id)` entry — a single `u64` key holding a
-/// `u32` index into its shard's table of distinct outcomes — so entries are
-/// fixed-width for any [`TestConfig::max_updates`], and equal outcomes (the
-/// empty result above all) are stored once per shard however many
-/// sequences produce them. A sequence — the interpreter being deterministic
-/// — completely determines the outcome for a fixed program and schema, so
-/// it is sound to share one oracle across different [`TestConfig`]s (e.g.
-/// the testing and verification passes).
-///
-/// The oracle is `Sync`: trie edges, entries and outcomes are striped
-/// across `SourceOracle::SHARDS` mutexes by node, and a hit compares
-/// against the stored outcome under its shard lock instead of cloning it.
-/// Workers racing on the same uncached sequence may compute it twice (the
-/// computation happens outside the shard lock on purpose — it interprets a
-/// program); both arrive at the same deterministic outcome, so the
-/// duplicate work is bounded waste, never unsoundness. Node ids depend on
-/// which worker reaches a prefix first; no verdict or counter does.
+/// The oracle keeps no outcomes. The walk executes every source update in
+/// place, so each leaf has the source state at hand and evaluates the
+/// source query on it: one compiled query, cheaper than the lookup a memo
+/// of source outcomes per sequence would take, and with no memo the oracle
+/// holds no memory that grows with the number of sequences tested.
 #[derive(Debug)]
 pub struct SourceOracle<'p> {
     program: &'p Program,
     schema: &'p Schema,
     /// Interning table: one id per distinct call ever seen.
     call_ids: RwLock<HashMap<Call, u32>>,
-    /// The memo's trie and entries, striped by node.
-    shards: Vec<Mutex<OracleShard>>,
-    /// The next trie node id to hand out.
-    next_node: AtomicUsize,
-    hits: AtomicUsize,
-    entries: AtomicUsize,
-    capacity: usize,
-    /// Wall-clock nanoseconds spent interpreting the source program on
-    /// cache misses, across all workers. Includes duplicate computations by
-    /// racing workers, so this is total CPU spent in the oracle, not a span
-    /// of wall time.
-    compute_nanos: AtomicU64,
+    /// Source-query evaluations, added by each check once, at its end.
     computes: AtomicUsize,
 }
 
 impl<'p> SourceOracle<'p> {
-    /// Default cap on cached sequences; beyond it lookups still work but new
-    /// outcomes are recomputed instead of stored.
-    const DEFAULT_CAPACITY: usize = 4_000_000;
-
-    /// Number of memo stripes. Comfortably above any realistic worker
-    /// count, so two workers rarely contend on one shard lock.
-    const SHARDS: usize = 32;
-
-    /// Creates an oracle for `program` over `schema` with an empty cache.
+    /// Creates the source side of checks of `program` over `schema`.
     pub fn new(program: &'p Program, schema: &'p Schema) -> SourceOracle<'p> {
         SourceOracle {
             program,
             schema,
             call_ids: RwLock::new(HashMap::new()),
-            shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(OracleShard::default()))
-                .collect(),
-            next_node: AtomicUsize::new(1),
-            hits: AtomicUsize::new(0),
-            entries: AtomicUsize::new(0),
-            capacity: Self::DEFAULT_CAPACITY,
-            compute_nanos: AtomicU64::new(0),
             computes: AtomicUsize::new(0),
         }
     }
@@ -509,30 +421,18 @@ impl<'p> SourceOracle<'p> {
         self.schema
     }
 
-    /// Number of cache hits served so far.
+    /// Always 0: the oracle memoizes no outcomes. Kept only because the
+    /// benchmark's replay (`perfbench/src/replay.rs`) still reports a hit
+    /// ratio from it.
     pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
+        0
     }
 
-    /// Total CPU time spent interpreting the source program on cache
-    /// misses, summed across all workers (racing workers may compute the
-    /// same sequence twice; both computations are counted).
-    pub fn compute_time(&self) -> Duration {
-        Duration::from_nanos(self.compute_nanos.load(Ordering::Relaxed))
-    }
-
-    /// Number of source interpretations performed (cache misses, including
-    /// duplicates by racing workers).
+    /// Number of source-query evaluations so far: one per leaf whose
+    /// outcomes a check compared, plus one per [`SourceOracle::observe`].
+    /// Each check adds its count once, when it ends.
     pub fn computes(&self) -> usize {
         self.computes.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct sequences currently cached.
-    pub fn cached_sequences(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("oracle shard poisoned").entries.len())
-            .sum()
     }
 
     /// The interned id of `call`, assigning a fresh one on first sight.
@@ -551,95 +451,10 @@ impl<'p> SourceOracle<'p> {
             .or_insert_with(|| u32::try_from(next).expect("more than u32::MAX distinct calls"))
     }
 
-    /// The shard holding `node`'s edges and entries.
-    fn shard(&self, node: u32) -> &Mutex<OracleShard> {
-        &self.shards[node as usize % Self::SHARDS]
-    }
-
-    /// The trie node of `node`'s prefix extended by the update call `call`,
-    /// created on first sight. `None` once the memo is full and the node
-    /// does not exist yet: no sequence through it can be memoized then, so
-    /// every sequence through it is computed — exactly what a full memo
-    /// does for any sequence it has not stored.
-    fn child(&self, node: u32, call: u32) -> Option<u32> {
-        let mut shard = self.shard(node).lock().expect("oracle shard poisoned");
-        let key = pair(node, call);
-        if let Some(&child) = shard.children.get(&key) {
-            return Some(child);
-        }
-        if self.entries.load(Ordering::Relaxed) >= self.capacity {
-            return None;
-        }
-        let child = u32::try_from(self.next_node.fetch_add(1, Ordering::Relaxed))
-            .expect("more than u32::MAX prefix nodes");
-        shard.children.insert(key, child);
-        Some(child)
-    }
-
-    /// The trie node of the prefix made of the interned update `calls`
-    /// (see [`SourceOracle::child`] for `None`).
-    fn prefix_node(&self, calls: impl IntoIterator<Item = u32>) -> Option<u32> {
-        calls
-            .into_iter()
-            .try_fold(ROOT, |node, call| self.child(node, call))
-    }
-
-    /// The source outcome for `sequence`, interpreting the source program at
-    /// most once per distinct sequence.
+    /// The source outcome for `sequence`, replayed from the empty instance.
     pub fn observe(&self, sequence: &InvocationSequence) -> Outcome {
-        let node = self.prefix_node(sequence.updates.iter().map(|call| self.intern(call)));
-        let query = self.intern(&sequence.query);
-        self.with_outcome(
-            node,
-            query,
-            || observe(self.program, self.schema, sequence),
-            Outcome::clone,
-        )
-    }
-
-    /// Applies `inspect` to the memoized outcome of the sequence ending in
-    /// the query call `query` after the prefix `node`, computing (and,
-    /// capacity permitting, storing) it with `compute` on a miss. A hit is
-    /// inspected under its shard lock, so nothing is cloned.
-    fn with_outcome<R>(
-        &self,
-        node: Option<u32>,
-        query: u32,
-        compute: impl FnOnce() -> Outcome,
-        inspect: impl FnOnce(&Outcome) -> R,
-    ) -> R {
-        let slot = node.map(|node| (self.shard(node), pair(node, query)));
-        if let Some((shard, key)) = slot {
-            let guard = shard.lock().expect("oracle shard poisoned");
-            if let Some(&index) = guard.entries.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return inspect(&guard.outcomes[index as usize]);
-            }
-        }
-        // Interpret outside the lock: this is the expensive part, and
-        // holding the shard across it would serialize unrelated misses.
-        // The clock reads cost two syscalls per *miss*, against a full
-        // program interpretation — noise.
-        let compute_start = Instant::now();
-        let outcome = compute();
-        self.compute_nanos.fetch_add(
-            u64::try_from(compute_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
         self.computes.fetch_add(1, Ordering::Relaxed);
-        let Some((shard, key)) = slot else {
-            return inspect(&outcome);
-        };
-        let mut guard = shard.lock().expect("oracle shard poisoned");
-        if let Some(&index) = guard.entries.get(&key) {
-            // A racing worker finished the same sequence first.
-            return inspect(&guard.outcomes[index as usize]);
-        }
-        if self.entries.load(Ordering::Relaxed) >= self.capacity {
-            return inspect(&outcome);
-        }
-        self.entries.fetch_add(1, Ordering::Relaxed);
-        inspect(guard.insert(key, outcome))
+        observe(self.program, self.schema, sequence)
     }
 }
 
@@ -650,88 +465,81 @@ struct QueryPlan {
     update_calls: Vec<Call>,
 }
 
-/// Builds one [`QueryPlan`] per source query function.
-fn build_plans(source: &Program, target: &Program, config: &TestConfig) -> Vec<QueryPlan> {
-    let mut plans = Vec::new();
-    for query in source.queries() {
-        let query_calls: Vec<Call> = config
-            .arg_combinations(query)
-            .into_iter()
-            .map(|args| Call::new(query.name.clone(), args))
-            .collect();
-        let updates: Vec<&Function> = if config.cluster_by_tables {
-            relevant_updates(query, source, target)
-        } else {
-            source.updates().collect()
-        };
-        let update_calls: Vec<Call> = updates
-            .iter()
-            .flat_map(|u| {
-                config
-                    .arg_combinations(u)
-                    .into_iter()
-                    .map(|args| Call::new(u.name.clone(), args))
-            })
-            .collect();
-        plans.push(QueryPlan {
-            query_calls,
-            update_calls,
-        });
-    }
-    plans
+/// One source update function as every query's plan sees it: its table
+/// footprint in either program and its argument-combination calls.
+struct UpdateCalls {
+    footprint: Vec<TableName>,
+    calls: Vec<Call>,
 }
 
-/// Computes the relevance closure for one query function: the set of update
-/// functions whose table footprint (in either program) can transitively
-/// influence the query's tables.
-fn relevant_updates<'p>(
-    query: &Function,
-    source: &'p Program,
-    target: &Program,
-) -> Vec<&'p Function> {
-    let target_query_tables: Vec<TableName> = target
-        .function(&query.name)
-        .map(|f| f.tables())
-        .unwrap_or_default();
-    let mut reachable: BTreeSet<TableName> = query.tables().into_iter().collect();
-    reachable.extend(target_query_tables);
-
-    let footprint = |name: &str| -> BTreeSet<TableName> {
-        let mut tables = BTreeSet::new();
-        if let Some(f) = source.function(name) {
-            tables.extend(f.tables());
-        }
-        if let Some(f) = target.function(name) {
-            tables.extend(f.tables());
-        }
-        tables
+/// Builds one [`QueryPlan`] per source query function. Each update's
+/// footprint and calls are derived once here and shared by every query.
+fn build_plans(source: &Program, target: &Program, config: &TestConfig) -> Vec<QueryPlan> {
+    let calls = |function: &Function| -> Vec<Call> {
+        config
+            .arg_combinations(function)
+            .into_iter()
+            .map(|args| Call::new(function.name.clone(), args))
+            .collect()
     };
+    let updates: Vec<UpdateCalls> = source
+        .updates()
+        .map(|update| UpdateCalls {
+            footprint: footprint(update, target),
+            calls: calls(update),
+        })
+        .collect();
+    source
+        .queries()
+        .map(|query| {
+            let selected = if config.cluster_by_tables {
+                relevant_updates(footprint(query, target), &updates)
+            } else {
+                vec![true; updates.len()]
+            };
+            let update_calls = updates
+                .iter()
+                .zip(selected)
+                .filter(|&(_, selected)| selected)
+                .flat_map(|(update, _)| update.calls.iter().cloned())
+                .collect();
+            QueryPlan {
+                query_calls: calls(query),
+                update_calls,
+            }
+        })
+        .collect()
+}
 
-    let update_names: Vec<String> = source.updates().map(|f| f.name.clone()).collect();
-    let mut selected: BTreeSet<String> = BTreeSet::new();
+/// The tables `function` touches in the source program, together with
+/// those its namesake touches in `target`.
+fn footprint(function: &Function, target: &Program) -> Vec<TableName> {
+    let mut tables = function.tables();
+    if let Some(namesake) = target.function(&function.name) {
+        tables.extend(namesake.tables());
+    }
+    tables
+}
+
+/// Computes the relevance closure for one query function, given its table
+/// footprint in either program: which of `updates` (in source order) can
+/// transitively influence the query's tables.
+fn relevant_updates(query_tables: Vec<TableName>, updates: &[UpdateCalls]) -> Vec<bool> {
+    let mut reachable: HashSet<TableName> = query_tables.into_iter().collect();
+    let mut selected = vec![false; updates.len()];
     loop {
         let mut changed = false;
-        for name in &update_names {
-            if selected.contains(name) {
-                continue;
-            }
-            let tables = footprint(name);
-            if tables.iter().any(|t| reachable.contains(t)) {
-                selected.insert(name.clone());
-                for table in tables {
-                    reachable.insert(table);
-                }
+        for (update, selected) in updates.iter().zip(&mut selected) {
+            if !*selected && update.footprint.iter().any(|t| reachable.contains(t)) {
+                *selected = true;
+                reachable.extend(update.footprint.iter().copied());
                 changed = true;
             }
         }
         if !changed {
-            break;
+            return selected;
         }
     }
-    source
-        .updates()
-        .filter(|f| selected.contains(&f.name))
-        .collect()
 }
 
 /// Runs the bounded equivalence check of `target` (over `target_schema`)
@@ -819,7 +627,9 @@ const PREFIX_CACHE_CAPACITY: usize = 1 << 17;
 /// A cache belongs to one [`SourceOracle`] (its call ids) and one target
 /// schema (its plans), as a sketch run does. A check given no cache runs
 /// through a check-local one, which shares prefix states only between the
-/// depths of that check's own walk.
+/// depths of that check's own walk. The cache holds states and plans, never
+/// query outcomes: every tested sequence's queries run on the walk's own
+/// states, on both sides.
 ///
 /// All access is sequential: the cache is handed down as `&mut` and
 /// consulted only on the check's calling thread, between parallel sections
@@ -993,7 +803,6 @@ impl PrefixCache {
                     src_body_ids: plan.update_calls.iter().map(|c| src.body(c)).collect(),
                     tgt_body_ids: plan.update_calls.iter().map(|c| tgt.body(c)).collect(),
                     update_ids,
-                    query_ids,
                 }
             })
             .collect()
@@ -1077,8 +886,6 @@ enum PreparedQuery {
 struct PreparedPlan {
     /// Interned oracle ids, parallel to `QueryPlan::update_calls`.
     update_ids: Vec<u32>,
-    /// Interned oracle ids, parallel to `QueryPlan::query_calls`.
-    query_ids: Vec<u32>,
     /// Source-side interned function-body ids, parallel to
     /// `QueryPlan::update_calls`.
     src_body_ids: Vec<u32>,
@@ -1130,10 +937,10 @@ fn prepare_query(program: &Program, schema: &Schema, call: &Call) -> PreparedQue
 }
 
 /// Runs the bounded equivalence check of `target` against the source
-/// program `oracle` holds, reading (and filling) the oracle's memo for the
-/// source side, so repeated checks against the same source — the shape of
-/// every synthesis run — interpret each sequence on the source at most
-/// once.
+/// program `oracle` holds. Both sides are walked in place, and every leaf
+/// evaluates the source query on the walk's own source state; the check
+/// adds the number of those evaluations to [`SourceOracle::computes`] when
+/// it ends.
 ///
 /// * `cancel` is polled at safe points of the walk (between subtrees and
 ///   every few hundred sequences inside one); when it fires the report
@@ -1204,7 +1011,7 @@ pub fn compare_with_oracle(
                     return cancelled_report(sequences_tested);
                 }
                 match search_plan(
-                    oracle,
+                    oracle.schema(),
                     target_schema,
                     plan,
                     prep,
@@ -1250,6 +1057,9 @@ pub fn compare_with_oracle(
     };
     let report = walk();
 
+    oracle
+        .computes
+        .fetch_add(snap.src_queries, Ordering::Relaxed);
     if let Some(profile) = profile {
         if let Some(start) = dfs_start {
             profile.dfs_time += start.elapsed();
@@ -1298,7 +1108,7 @@ type Root = (Vec<usize>, Arc<ExecState>, Arc<ExecState>);
 /// discarded unread.
 #[allow(clippy::too_many_arguments)]
 fn search_plan(
-    oracle: &SourceOracle<'_>,
+    source_schema: &Schema,
     target_schema: &Schema,
     plan: &QueryPlan,
     prep: &PreparedPlan,
@@ -1309,7 +1119,6 @@ fn search_plan(
     snap: &mut SnapStats,
     cache: &mut PrefixCache,
 ) -> Search {
-    let source_schema = oracle.schema();
     let fanout = plan.update_calls.len();
     let base = length.min(PREFIX_CACHE_DEPTH);
 
@@ -1351,12 +1160,10 @@ fn search_plan(
                      cancel: Option<(&StopCtx, usize)>|
      -> (Search, SnapStats) {
         let mut dfs = Dfs {
-            oracle,
             plan,
             prep,
             cap,
             sequences_tested: counter,
-            node: oracle.prefix_node(path.iter().map(|&i| prep.update_ids[i])),
             path: path.clone(),
             cancel,
             token,
@@ -1515,16 +1322,11 @@ struct Frame {
 }
 
 /// Depth-first walker over the update-call tree of one query plan.
-struct Dfs<'a, 'p> {
-    oracle: &'a SourceOracle<'p>,
+struct Dfs<'a> {
     plan: &'a QueryPlan,
     prep: &'a PreparedPlan,
     cap: Option<usize>,
     sequences_tested: &'a mut usize,
-    /// The oracle's trie node for the current update prefix (`None` once
-    /// the oracle's memo is full, or when both sides failed and no leaf
-    /// below consults the oracle).
-    node: Option<u32>,
     /// Indices into `plan.update_calls` for the current prefix, used to
     /// materialize the [`InvocationSequence`] only when a counterexample is
     /// actually found.
@@ -1553,7 +1355,7 @@ struct Dfs<'a, 'p> {
 /// walk notices an already-expired deadline.
 const TOKEN_POLL_INTERVAL: usize = 256;
 
-impl Dfs<'_, '_> {
+impl Dfs<'_> {
     /// Returns `true` if this walker belongs to a parallel root task that a
     /// lower-index counterexample has made irrelevant.
     fn cancelled(&self) -> bool {
@@ -1601,16 +1403,9 @@ impl Dfs<'_, '_> {
         for i in 0..self.plan.update_calls.len() {
             let src_frame = apply_in_place(&prep.src_updates[i], &mut self.src, &mut self.snap);
             let tgt_frame = apply_in_place(&prep.tgt_updates[i], &mut self.tgt, &mut self.snap);
-            let parent = self.node;
-            if self.src.failed.is_some() && self.tgt.failed.is_some() {
-                self.node = None;
-            } else {
-                self.node = parent.and_then(|node| self.oracle.child(node, prep.update_ids[i]));
-            }
             self.path.push(i);
             let result = self.walk(depth - 1);
             self.path.pop();
-            self.node = parent;
             revert_frame(tgt_frame, &mut self.tgt, &mut self.snap);
             revert_frame(src_frame, &mut self.src, &mut self.snap);
             if !matches!(result, Search::Exhausted) {
@@ -1623,7 +1418,7 @@ impl Dfs<'_, '_> {
     /// Runs (and counts) all query calls against the two working states.
     fn leaves(&mut self) -> Search {
         let prep = self.prep;
-        for (qi, &query_id) in prep.query_ids.iter().enumerate() {
+        for qi in 0..self.plan.query_calls.len() {
             if let Some(cap) = self.cap {
                 if *self.sequences_tested >= cap {
                     return Search::CapHit;
@@ -1635,14 +1430,10 @@ impl Dfs<'_, '_> {
                 // the query is, no need to even materialize the sequence.
                 continue;
             }
+            self.snap.src_queries += 1;
+            let src_outcome = work_outcome(&prep.src_queries[qi], &self.src);
             let tgt_outcome = work_outcome(&prep.tgt_queries[qi], &self.tgt);
-            let agree = self.oracle.with_outcome(
-                self.node,
-                query_id,
-                || work_outcome(&prep.src_queries[qi], &self.src),
-                |src_outcome| outcomes_agree(src_outcome, &tgt_outcome),
-            );
-            if !agree {
+            if !outcomes_agree(&src_outcome, &tgt_outcome) {
                 // Materialize the failing sequence only now, on the cold
                 // path: the hot path never clones calls.
                 let updates: Vec<Call> = self
@@ -2116,48 +1907,6 @@ mod tests {
         assert_eq!(compiled(&candidate), 0, "the old body's plans are kept");
     }
 
-    /// Sequences with equal source outcomes after the same prefix share
-    /// one stored outcome.
-    #[test]
-    fn equal_outcomes_are_stored_once() {
-        let p = make_program(true);
-        let source_schema = schema();
-        let oracle = SourceOracle::new(&p, &source_schema);
-        for uid in [0, 1] {
-            let lookup =
-                InvocationSequence::new(vec![], Call::new("getUser", vec![Value::Int(uid)]));
-            assert_eq!(oracle.observe(&lookup), Outcome::Rows(vec![]));
-        }
-        assert_eq!(oracle.cached_sequences(), 2);
-        let stored: usize = oracle
-            .shards
-            .iter()
-            .map(|shard| shard.lock().unwrap().outcomes.len())
-            .sum();
-        assert_eq!(stored, 1);
-    }
-
-    /// A full memo keeps answering what it holds and computes the rest:
-    /// prefixes it has no node for are walked without one, and every report
-    /// matches an oracle with room to spare.
-    #[test]
-    fn a_full_oracle_still_reports_the_same() {
-        let p = make_program(true);
-        let q = make_program(false);
-        let source_schema = schema();
-        let config = TestConfig::default();
-        let mut full = SourceOracle::new(&p, &source_schema);
-        full.capacity = 3;
-        for candidate in [&p, &q, &p] {
-            let roomy = SourceOracle::new(&p, &source_schema);
-            assert_eq!(
-                compare_with_oracle(&full, candidate, &source_schema, &config, None, None, None),
-                compare_with_oracle(&roomy, candidate, &source_schema, &config, None, None, None),
-            );
-        }
-        assert_eq!(full.cached_sequences(), 3);
-    }
-
     #[test]
     fn arg_combinations_respect_cap() {
         let config = TestConfig {
@@ -2328,27 +2077,6 @@ mod tests {
                 assert_eq!(fast, slow, "engines diverged under {config:?}");
             }
         }
-    }
-
-    #[test]
-    fn oracle_caches_source_outcomes_across_checks() {
-        let p = make_program(true);
-        let q = make_program(false);
-        let source_schema = schema();
-        let oracle = SourceOracle::new(&p, &source_schema);
-        let config = TestConfig::default();
-        let first = compare_with_oracle(&oracle, &q, &source_schema, &config, None, None, None);
-        assert_eq!(oracle.hits(), 0, "cold cache cannot hit");
-        assert!(oracle.cached_sequences() > 0);
-        let second = compare_with_oracle(&oracle, &q, &source_schema, &config, None, None, None);
-        assert_eq!(first, second, "memoization must not change the verdict");
-        assert!(
-            oracle.hits() > 0,
-            "the second identical check must be served from cache"
-        );
-        // The oracle's replay entry point agrees with the cache.
-        let cex = second.counterexample.unwrap();
-        assert_eq!(oracle.observe(&cex), observe(&p, &source_schema, &cex));
     }
 
     #[test]

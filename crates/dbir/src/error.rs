@@ -9,7 +9,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///
 /// The messages are lowercase without trailing punctuation so they compose
 /// well when wrapped by downstream errors.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// A table name was referenced but does not exist in the schema.
     UnknownTable(String),

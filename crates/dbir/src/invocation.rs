@@ -96,7 +96,7 @@ impl fmt::Display for InvocationSequence {
 ///
 /// Errors are part of the observable behaviour: a candidate program that
 /// fails where the original succeeds is not equivalent to it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
     /// The final query's rows in canonical (sorted) order.
     Rows(Vec<Vec<Value>>),

@@ -11,7 +11,7 @@ use dbir::ast::{
     CmpOp, Function, FunctionBody, JoinChain, Operand, Param, Pred, Program, Query, Update,
 };
 use dbir::equiv::{compare_programs, compare_programs_naive, SourceOracle, TestConfig};
-use dbir::equiv::{compare_with_oracle, CheckProfile, EquivalenceReport};
+use dbir::equiv::{compare_with_oracle, CheckProfile, EquivalenceReport, PrefixCache};
 use dbir::eval::{bind_args, CompiledUpdate, Journal};
 use dbir::schema::{QualifiedAttr, Schema};
 use dbir::value::{DataType, Value};
@@ -201,7 +201,7 @@ fn config_strategy() -> impl Strategy<Value = TestConfig> {
 
 /// `config` with a bound of 5 or 6 preceding updates (`depth` 1 or 2;
 /// `depth` 0 keeps it as it is), one argument combination per function and
-/// no sequence cap, so the walk reaches memo keys of 6 and 7 calls while
+/// no sequence cap, so the walk reaches sequences of 6 and 7 calls while
 /// staying a few thousand sequences small.
 fn deepened(config: TestConfig, depth: usize) -> TestConfig {
     if depth == 0 {
@@ -242,9 +242,9 @@ proptest! {
         }
     }
 
-    /// A warm oracle must not change any report: memoized source outcomes
-    /// are observationally identical to re-interpreting the source, for
-    /// memo keys of any length.
+    /// An oracle that earlier checks already used must not change any
+    /// report: the call ids it interned for them key nothing that a later
+    /// check reads as an outcome, for sequences of any length.
     #[test]
     fn warm_oracle_reports_match_cold_runs(
         source_shape in shape_strategy(),
@@ -263,10 +263,10 @@ proptest! {
         let cold = check(&target);
         let warm = check(&target);
         prop_assert_eq!(&cold, &warm);
-        // The source against itself walks the whole bound, so the memo then
-        // holds sequences of every length up to `max_updates + 1` calls.
+        // The source against itself walks the whole bound, interning calls
+        // for sequences of every length up to `max_updates + 1` calls.
         prop_assert!(check(&source).equivalent);
-        // And against a sibling candidate, the shared cache stays sound.
+        // And against a sibling candidate, the shared oracle stays sound.
         let sibling = build_program(&ProgramShape { projection: target_shape.projection.wrapping_add(1), ..target_shape.clone() });
         let with_shared_cache = check(&sibling);
         let from_scratch = compare_programs(&source, &schema, &sibling, &schema, &config);
@@ -487,6 +487,109 @@ fn parallel_walk_matches_naive_reference() {
     // run under the budget they expect. (Results are thread-count-invariant
     // either way; this keeps the *exercised path* deterministic.)
     parpool::set_thread_limit(0);
+}
+
+/// A candidate stream checked the way a sketch run checks it — one oracle,
+/// one shared `PrefixCache`, each check reusing the plans and prefix states
+/// of the ones before — reports the same at a thread budget of one and of
+/// four: check by check, the reports equal the naive reference's, and every
+/// profile counter, the cache's hits and the oracle's count of source-query
+/// evaluations are identical at both budgets. The configuration is the one
+/// `parallel_walk_matches_naive_reference` sizes past the parallelism
+/// threshold.
+#[test]
+fn shared_cache_stream_is_thread_count_invariant() {
+    let schema = schema();
+    let config = TestConfig {
+        max_updates: 3,
+        int_seeds: vec![0, 1, 2],
+        cluster_by_tables: false,
+        ..TestConfig::default()
+    };
+    let shape = ProgramShape {
+        honest_insert: true,
+        with_delete: true,
+        with_tag_update: true,
+        with_docs: true,
+        projection: 0,
+        predicate: 0,
+    };
+    let source = build_program(&shape);
+    // Two wrong candidates, the right one, then the first wrong one again
+    // (same bodies — pure reuse of its plans and prefix states).
+    let wrong_insert = build_program(&ProgramShape {
+        honest_insert: false,
+        ..shape.clone()
+    });
+    let wrong_query = build_program(&ProgramShape {
+        projection: 2,
+        predicate: 1,
+        ..shape.clone()
+    });
+    let candidates = [
+        wrong_insert.clone(),
+        wrong_query,
+        source.clone(),
+        wrong_insert,
+    ];
+    let run = |threads: usize| {
+        parpool::set_thread_limit(threads);
+        let oracle = SourceOracle::new(&source, &schema);
+        let mut cache = PrefixCache::new();
+        let checks: Vec<(EquivalenceReport, CheckProfile)> = candidates
+            .iter()
+            .map(|candidate| {
+                let mut profile = CheckProfile::default();
+                let report = compare_with_oracle(
+                    &oracle,
+                    candidate,
+                    &schema,
+                    &config,
+                    None,
+                    Some(&mut profile),
+                    Some(&mut cache),
+                );
+                let counters = CheckProfile {
+                    plan_compile_time: Default::default(),
+                    dfs_time: Default::default(),
+                    snapshot_time: Default::default(),
+                    ..profile
+                };
+                (report, counters)
+            })
+            .collect();
+        (checks, cache.hits(), oracle.computes())
+    };
+    let sequential = run(1);
+    let parallel = run(4);
+    // Restore the default for the other tests in this binary.
+    parpool::set_thread_limit(0);
+    assert_eq!(
+        sequential, parallel,
+        "the stream depends on the thread count"
+    );
+    let (checks, cache_hits, computes) = sequential;
+    for ((report, _), candidate) in checks.iter().zip(&candidates) {
+        let naive = compare_programs_naive(&source, &schema, candidate, &schema, &config);
+        assert_eq!(report, &naive, "stream check diverged from reference");
+    }
+    assert_eq!(
+        checks
+            .iter()
+            .map(|(report, _)| report.equivalent)
+            .collect::<Vec<_>>(),
+        [false, false, true, false]
+    );
+    assert!(
+        checks[2].0.sequences_tested > 4096,
+        "the equivalent check must cross the parallelism threshold"
+    );
+    assert!(cache_hits > 0, "later checks reuse earlier prefix states");
+    assert_eq!(
+        checks[3].1.plans_compiled, 0,
+        "a repeated candidate compiles nothing"
+    );
+    assert!(computes > 0);
 }
 
 /// Copy-on-write aliasing: mutating one clone never perturbs its siblings,

@@ -21,7 +21,7 @@
 //! let trace = Trace::new();
 //! let stage = trace.begin("synthesize");
 //! trace.end(stage);
-//! trace.add_phase(stage, "oracle", Duration::from_millis(2));
+//! trace.add_phase(stage, "plan compile", Duration::from_millis(2));
 //! let json = trace.to_chrome_json().to_pretty_string();
 //! assert!(json.contains("traceEvents"));
 //!

@@ -2,7 +2,7 @@
 //!
 //! A [`Trace`] records a tree of timed spans: every pipeline stage
 //! (ingest, synthesize, emit, validate) opens a span, and synthesis-phase
-//! aggregates (oracle time, snapshot time, DFS time, …) are attached as
+//! aggregates (plan-compile time, snapshot time, DFS time, …) are attached as
 //! synthetic *phase* spans on a second track.  The recorder renders a
 //! human-readable tree via [`Trace::render_tree`] and Chrome trace-event
 //! JSON via [`Trace::to_chrome_json`] — the latter loads directly into
@@ -267,7 +267,7 @@ mod tests {
         let outer = trace.begin("stage");
         trace.set_arg(outer, "tables", Json::from(2usize));
         trace.end(outer);
-        trace.add_phase(outer, "oracle", Duration::from_millis(3));
+        trace.add_phase(outer, "plan compile", Duration::from_millis(3));
         let text = trace.to_chrome_json().to_pretty_string();
         let parsed = Json::parse(&text).expect("trace JSON parses");
         let events = parsed
@@ -280,7 +280,7 @@ mod tests {
             .filter_map(|e| e.get("name").and_then(Json::as_str))
             .collect();
         assert!(names.contains(&"stage"));
-        assert!(names.contains(&"oracle"));
+        assert!(names.contains(&"plan compile"));
     }
 
     #[test]

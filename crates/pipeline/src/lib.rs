@@ -535,7 +535,6 @@ impl Refactoring {
                 ),
                 ("plan compile", checks.plan_compile_time),
                 ("snapshot clone", checks.snapshot_time),
-                ("oracle", phases.oracle_time),
                 ("final verification", result.stats.verification_time),
             ] {
                 trace.add_phase(span, name, duration);

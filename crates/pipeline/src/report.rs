@@ -37,7 +37,6 @@ pub fn phases_json(phases: &PhaseBreakdown) -> Json {
         )
         .with("plan_compile_secs", secs(checks.plan_compile_time))
         .with("snapshot_secs", secs(checks.snapshot_time))
-        .with("oracle_secs", secs(phases.oracle_time))
         .with("sat_blocking_clauses", phases.sat_blocking_clauses.into())
         .with("plans_compiled", count(checks.plans_compiled))
         .with("solver_reuses", count(phases.solver_reuses))
@@ -64,7 +63,6 @@ pub fn stats_json(stats: &SynthesisStats, outcome: SynthesisOutcome) -> Json {
         .with("largest_search_space", stats.largest_search_space.into())
         .with("sequences_tested", stats.sequences_tested.into())
         .with("truncated_checks", stats.truncated_checks.into())
-        .with("oracle_hits", stats.oracle_hits.into())
         .with(
             "synthesis_time_secs",
             stats.synthesis_time.as_secs_f64().into(),
@@ -243,7 +241,6 @@ mod tests {
                 "bounded_testing_secs",
                 "plan_compile_secs",
                 "snapshot_secs",
-                "oracle_secs",
                 "sat_blocking_clauses",
                 "plans_compiled",
                 "solver_reuses",

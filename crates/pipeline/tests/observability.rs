@@ -82,7 +82,6 @@ fn chrome_trace_round_trips_with_all_stage_spans() {
         "bounded testing",
         "plan compile",
         "snapshot clone",
-        "oracle",
         "final verification",
     ] {
         assert!(

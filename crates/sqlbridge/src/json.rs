@@ -356,14 +356,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point (the input is a &str, so
-                    // boundaries are always valid).
+                    // Copy the run up to the next `"` or `\` as one slice.
+                    // Both delimiters are ASCII, so the run ends on a char
+                    // boundary (and the input is a &str, so it is UTF-8).
                     let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let text = std::str::from_utf8(&rest[..run])
                         .map_err(|_| "invalid UTF-8 inside string".to_string())?;
-                    let c = text.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -583,6 +587,27 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    /// A long string parses in time linear in its length: each run of
+    /// plain characters is copied as one slice, not re-validated from the
+    /// current byte to the end of the input once per character.
+    #[test]
+    fn parse_round_trips_a_megabyte_string_quickly() {
+        let unit = "plain ascii, é ü 漢字 🦀, \"quoted\" \\ back\tslash\n\u{1} ";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        let doc = Json::object().with("result", Json::str(&text));
+        let rendered = doc.to_compact_string();
+        assert!(rendered.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&rendered).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, doc);
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "parsing {} bytes took {elapsed:?}",
+            rendered.len()
+        );
     }
 
     #[test]
