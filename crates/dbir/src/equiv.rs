@@ -46,6 +46,11 @@
 //! side, interned call and interned function body. The source's plans are
 //! compiled by the sketch's first check; a later check compiles only the
 //! target calls of function bodies no earlier check of the sketch has seen.
+//! Subtrees are walked once per sketch the same way: the cache remembers
+//! every (query plan, length) pair a check walked to exhaustion, keyed by
+//! the plan's calls and the target bodies of the functions it calls, and a
+//! later check with the same key counts that pair's sequences without
+//! walking it (see [`compare_with_oracle`]).
 //!
 //! The walk itself is parallel: within one (query plan, depth) subtree, the
 //! subtrees below the prefixes resolved at the cache depth (the *roots*)
@@ -279,7 +284,9 @@ pub struct CheckProfile {
     pub snapshot_bytes_copied: u64,
     /// Update-prefix states served from the check's [`PrefixCache`] instead
     /// of re-executed: states an earlier check through a shared cache
-    /// executed, and states an earlier depth of this check executed.
+    /// executed, and states an earlier depth of this check executed. A
+    /// (plan, length) pair skipped for a remembered verdict resolves no
+    /// state, so it adds no hits.
     /// Deterministic at any thread count: every lookup happens on the
     /// check's calling thread, between parallel sections (see
     /// [`PrefixCache`]).
@@ -460,53 +467,74 @@ impl<'p> SourceOracle<'p> {
 
 /// Per-query execution plan shared by both engines: the query calls to
 /// observe and the update calls eligible to precede them.
+#[derive(Debug)]
 struct QueryPlan {
     query_calls: Vec<Call>,
     update_calls: Vec<Call>,
 }
 
-/// One source update function as every query's plan sees it: its table
-/// footprint in either program and its argument-combination calls.
-struct UpdateCalls {
-    footprint: Vec<TableName>,
-    calls: Vec<Call>,
+impl QueryPlan {
+    /// The plan of the source function at position `query` over the update
+    /// functions at positions `updates`, with the position of each update
+    /// call's function.
+    fn new(
+        config: &TestConfig,
+        source: &Program,
+        query: usize,
+        updates: &[usize],
+    ) -> (QueryPlan, Vec<usize>) {
+        let calls = |position: usize| {
+            let function = &source.functions[position];
+            config
+                .arg_combinations(function)
+                .into_iter()
+                .map(move |args| (position, Call::new(function.name.clone(), args)))
+        };
+        let (update_functions, update_calls) = updates.iter().flat_map(|&u| calls(u)).unzip();
+        let plan = QueryPlan {
+            query_calls: calls(query).map(|(_, call)| call).collect(),
+            update_calls,
+        };
+        (plan, update_functions)
+    }
 }
 
-/// Builds one [`QueryPlan`] per source query function. Each update's
-/// footprint and calls are derived once here and shared by every query.
+/// Builds one [`QueryPlan`] per source query function.
 fn build_plans(source: &Program, target: &Program, config: &TestConfig) -> Vec<QueryPlan> {
-    let calls = |function: &Function| -> Vec<Call> {
-        config
-            .arg_combinations(function)
-            .into_iter()
-            .map(|args| Call::new(function.name.clone(), args))
-            .collect()
+    selections(source, target, config)
+        .into_iter()
+        .map(|(query, updates)| QueryPlan::new(config, source, query, &updates).0)
+        .collect()
+}
+
+/// Each source query's position in the source program, with the positions
+/// of the update functions its plan includes, in source order: the
+/// relevance closure under [`TestConfig::cluster_by_tables`], every update
+/// otherwise. Each update's footprint is derived once and shared by every
+/// query.
+fn selections(source: &Program, target: &Program, config: &TestConfig) -> Vec<(usize, Vec<usize>)> {
+    let positions = |query: bool| {
+        (0..source.functions.len()).filter(move |&f| source.functions[f].is_query() == query)
     };
-    let updates: Vec<UpdateCalls> = source
-        .updates()
-        .map(|update| UpdateCalls {
-            footprint: footprint(update, target),
-            calls: calls(update),
-        })
+    let updates: Vec<usize> = positions(false).collect();
+    let footprints: Vec<Vec<TableName>> = updates
+        .iter()
+        .map(|&update| footprint(&source.functions[update], target))
         .collect();
-    source
-        .queries()
+    positions(true)
         .map(|query| {
             let selected = if config.cluster_by_tables {
-                relevant_updates(footprint(query, target), &updates)
+                let tables = footprint(&source.functions[query], target);
+                relevant_updates(tables, &footprints)
             } else {
                 vec![true; updates.len()]
             };
-            let update_calls = updates
+            let chosen = updates
                 .iter()
                 .zip(selected)
-                .filter(|&(_, selected)| selected)
-                .flat_map(|(update, _)| update.calls.iter().cloned())
+                .filter_map(|(&update, selected)| selected.then_some(update))
                 .collect();
-            QueryPlan {
-                query_calls: calls(query),
-                update_calls,
-            }
+            (query, chosen)
         })
         .collect()
 }
@@ -522,17 +550,17 @@ fn footprint(function: &Function, target: &Program) -> Vec<TableName> {
 }
 
 /// Computes the relevance closure for one query function, given its table
-/// footprint in either program: which of `updates` (in source order) can
-/// transitively influence the query's tables.
-fn relevant_updates(query_tables: Vec<TableName>, updates: &[UpdateCalls]) -> Vec<bool> {
+/// footprint in either program: which of the updates (with `footprints`, in
+/// source order) can transitively influence the query's tables.
+fn relevant_updates(query_tables: Vec<TableName>, footprints: &[Vec<TableName>]) -> Vec<bool> {
     let mut reachable: HashSet<TableName> = query_tables.into_iter().collect();
-    let mut selected = vec![false; updates.len()];
+    let mut selected = vec![false; footprints.len()];
     loop {
         let mut changed = false;
-        for (update, selected) in updates.iter().zip(&mut selected) {
-            if !*selected && update.footprint.iter().any(|t| reachable.contains(t)) {
+        for (footprint, selected) in footprints.iter().zip(&mut selected) {
+            if !*selected && footprint.iter().any(|t| reachable.contains(t)) {
                 *selected = true;
-                reachable.extend(update.footprint.iter().copied());
+                reachable.extend(footprint.iter().copied());
                 changed = true;
             }
         }
@@ -605,16 +633,16 @@ const PREFIX_CACHE_DEPTH: usize = 2;
 /// entries are only ever added, in a deterministic order, never dropped.
 const PREFIX_CACHE_CAPACITY: usize = 1 << 17;
 
-/// Cross-candidate cache of compiled plans and update-prefix execution
-/// states, keyed by *semantic identity* — oracle-interned calls paired with
-/// the interned bodies of the functions they invoke — rather than by
-/// candidate.
+/// Cross-candidate cache of compiled plans, update-prefix execution states
+/// and exhausted-subtree verdicts, keyed by *semantic identity* —
+/// oracle-interned calls paired with the interned bodies of the functions
+/// they invoke — rather than by candidate.
 ///
 /// During sketch completion the bounded-testing engine compiles the same
-/// calls and re-executes the same short update prefixes for every
-/// candidate: the source program never changes, and successive candidates
-/// usually differ in only a few update functions. One `PrefixCache` per
-/// sketch run lets every check reuse:
+/// calls, re-executes the same short update prefixes and re-walks the same
+/// subtrees for every candidate: the source program never changes, and
+/// successive candidates usually differ in only a few update functions.
+/// One `PrefixCache` per sketch run lets every check reuse:
 ///
 /// * the compiled plan of every call whose function body it has seen
 ///   before, keyed by `(side, call id, body id)` — so the source's plans
@@ -622,84 +650,236 @@ const PREFIX_CACHE_CAPACITY: usize = 1 << 17;
 /// * the executed states of prefixes whose calls *and* function bodies it
 ///   has seen before — typically the entire source side after the first
 ///   candidate, plus every target prefix not touching a changed hole —
-///   instead of re-running them from the empty instance.
+///   instead of re-running them from the empty instance;
+/// * the verdict of every (query plan, length) pair an earlier check walked
+///   to exhaustion, keyed by the plan's call list and the target body of
+///   each function the plan calls. Nothing else enters that walk — the
+///   source program is fixed for the cache's oracle — so a check skips a
+///   remembered pair and counts its sequences unrun.
 ///
-/// A cache belongs to one [`SourceOracle`] (its call ids) and one target
-/// schema (its plans), as a sketch run does. A check given no cache runs
-/// through a check-local one, which shares prefix states only between the
-/// depths of that check's own walk. The cache holds states and plans, never
-/// query outcomes: every tested sequence's queries run on the walk's own
-/// states, on both sides.
+/// A check also prepares in proportion to what changed: the source
+/// program's bodies are interned once per cache, a target function equal to
+/// the last check's keeps its body id unprinted, and a plan's calls, their
+/// oracle ids and its source-side plans are kept for as long as checks test
+/// the same call list.
+///
+/// A cache belongs to one [`SourceOracle`] (its call ids and source
+/// program) and one target schema (its plans), as a sketch run does. A check
+/// given no cache runs through a check-local one, which shares prefix states
+/// only between the depths of that check's own walk. The cache holds
+/// states, plans and exhausted verdicts, never query outcomes: every
+/// sequence a check runs evaluates its queries on the walk's own states, on
+/// both sides.
 ///
 /// All access is sequential: the cache is handed down as `&mut` and
 /// consulted only on the check's calling thread, between parallel sections
-/// (see [`compare_with_oracle`]). [`PrefixCache::hits`] and the number of
-/// plans compiled are therefore byte-identical at any thread count.
+/// (see [`compare_with_oracle`]). [`PrefixCache::hits`], the number of plans
+/// compiled and the verdicts remembered are therefore byte-identical at any
+/// thread count.
 #[derive(Debug, Default)]
 pub struct PrefixCache {
     /// Interned function bodies: pretty-printed text → id. Two functions
     /// share an id exactly when they are structurally identical, so a body
     /// id in a key is an exact fingerprint, not a lossy hash.
     bodies: HashMap<String, u32, FnvBuild>,
-    /// Compiled update plans by [`PlanKey`].
-    update_plans: HashMap<PlanKey, Arc<PreparedUpdate>, FnvBuild>,
-    /// Compiled query plans by [`PlanKey`].
-    query_plans: HashMap<PlanKey, Arc<PreparedQuery>, FnvBuild>,
-    /// Plans compiled into `update_plans` and `query_plans` so far.
-    plans_compiled: u64,
+    /// The body id of each source function, in source order, interned by
+    /// the cache's first check.
+    source_bodies: Vec<u32>,
+    /// The target function the last check found under each source
+    /// function's name, with its body id.
+    target_bodies: Vec<Option<(Function, u32)>>,
+    /// The configurations checks through this cache have run under, so a
+    /// plan can be found again by the position of its configuration.
+    configs: Vec<TestConfig>,
+    /// Interned plans by (configuration position, query position, the
+    /// positions of the query's selected updates).
+    plans: HashMap<(usize, usize, Vec<usize>), Arc<InternedPlan>, FnvBuild>,
+    /// Interned call lists → id (see [`InternedPlan::list`]).
+    call_lists: HashMap<Box<[u32]>, u32, FnvBuild>,
+    /// Remembered verdicts: bit `l` of a plan's entry is set once a check
+    /// walked the plan at length `l` to [`Search::Exhausted`].
+    exhausted: HashMap<VerdictKey, u64, FnvBuild>,
+    /// Compiled update and query plans.
+    compiled: CompiledPlans,
     /// Prefix key → the state after executing that prefix from the empty
     /// instance.
     states: HashMap<PrefixKey, Arc<ExecState>, FnvBuild>,
     hits: u64,
 }
 
-/// A prefix-cache key: `(is_target_side, [(call id, body id), ..])` — the
-/// candidate-invariant semantics of one update prefix.
-type PrefixKey = (bool, Box<[(u32, u32)]>);
+/// A remembered verdict's key: the plan's interned call list and the target
+/// body id of every function it calls — its selected updates, then its
+/// query.
+type VerdictKey = (u32, Box<[u32]>);
+
+/// A prefix-cache key: the side, and each step of an update prefix as its
+/// oracle-interned call paired with the interned body of the function it
+/// invokes — the candidate-invariant semantics of the prefix. A cached
+/// prefix has at most [`PREFIX_CACHE_DEPTH`] steps; the unused ones are
+/// zero.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct PrefixKey {
+    target: bool,
+    len: usize,
+    steps: [(u32, u32); PREFIX_CACHE_DEPTH],
+}
 
 /// A compiled-plan key: `(is_target_side, call id, body id)`.
 type PlanKey = (bool, u32, u32);
 
-/// One side of a check while its plans are prepared: the program, its
-/// schema and the interned body id of each function the plans call.
+/// One side of a check while its plans are compiled.
+#[derive(Clone, Copy)]
 struct Side<'a> {
     target: bool,
     program: &'a Program,
     schema: &'a Schema,
-    bodies: HashMap<&'a str, u32>,
 }
 
-impl Side<'_> {
-    /// The body id of the function `call` invokes.
-    fn body(&self, call: &Call) -> u32 {
-        self.bodies[call.function.as_str()]
-    }
+/// Compiled plans by [`PlanKey`], shared by every check through one cache.
+#[derive(Debug, Default)]
+struct CompiledPlans {
+    updates: HashMap<PlanKey, Arc<PreparedUpdate>, FnvBuild>,
+    queries: HashMap<PlanKey, Arc<PreparedQuery>, FnvBuild>,
+    /// Plans compiled into either map so far.
+    count: u64,
+}
 
-    /// The plan of each of `calls` (interned as `ids`) from `memo`,
-    /// compiling with `compile` — and counting in `compiled` — only those
-    /// whose key is not there yet.
-    fn compiled<T>(
-        &self,
+impl CompiledPlans {
+    /// The plan of each of `calls` on `side` (interned as `ids`, invoking
+    /// functions with the body ids `bodies`) from `memo`, compiling with
+    /// `compile` — and counting in `count` — only those whose key is not
+    /// there yet.
+    fn each<T>(
         memo: &mut HashMap<PlanKey, Arc<T>, FnvBuild>,
-        compiled: &mut u64,
+        count: &mut u64,
+        side: Side<'_>,
         calls: &[Call],
         ids: &[u32],
+        bodies: impl Iterator<Item = u32>,
         compile: fn(&Program, &Schema, &Call) -> T,
     ) -> Vec<Arc<T>> {
         calls
             .iter()
             .zip(ids)
-            .map(|(call, &id)| {
-                let plan = memo
-                    .entry((self.target, id, self.body(call)))
-                    .or_insert_with(|| {
-                        *compiled += 1;
-                        Arc::new(compile(self.program, self.schema, call))
-                    });
+            .zip(bodies)
+            .map(|((call, &id), body)| {
+                let plan = memo.entry((side.target, id, body)).or_insert_with(|| {
+                    *count += 1;
+                    Arc::new(compile(side.program, side.schema, call))
+                });
                 Arc::clone(plan)
             })
             .collect()
     }
+
+    fn updates(
+        &mut self,
+        side: Side<'_>,
+        calls: &[Call],
+        ids: &[u32],
+        bodies: &[u32],
+    ) -> Vec<Arc<PreparedUpdate>> {
+        let bodies = bodies.iter().copied();
+        Self::each(
+            &mut self.updates,
+            &mut self.count,
+            side,
+            calls,
+            ids,
+            bodies,
+            prepare_update,
+        )
+    }
+
+    fn queries(
+        &mut self,
+        side: Side<'_>,
+        calls: &[Call],
+        ids: &[u32],
+        body: u32,
+    ) -> Vec<Arc<PreparedQuery>> {
+        let bodies = std::iter::repeat(body);
+        Self::each(
+            &mut self.queries,
+            &mut self.count,
+            side,
+            calls,
+            ids,
+            bodies,
+            prepare_query,
+        )
+    }
+}
+
+/// One query's plan as a [`PrefixCache`] keeps it across checks: its calls,
+/// their oracle ids and the source side's compiled plans. All of it is fixed
+/// by the plan's configuration and selected updates, because the source
+/// program is.
+#[derive(Debug)]
+struct InternedPlan {
+    calls: QueryPlan,
+    /// Oracle ids, parallel to `calls.update_calls`.
+    update_ids: Vec<u32>,
+    /// Oracle ids, parallel to `calls.query_calls`.
+    query_ids: Vec<u32>,
+    /// The interned id of the whole call list: the number of update calls,
+    /// then `update_ids`, then `query_ids`.
+    list: u32,
+    /// The source-function position of each selected update, in order.
+    updates: Vec<usize>,
+    /// The source-function position of the query.
+    query: usize,
+    /// The source-function position of each update call's function,
+    /// parallel to `calls.update_calls`.
+    update_functions: Vec<usize>,
+    /// Source-side body ids, parallel to `calls.update_calls`.
+    src_body_ids: Vec<u32>,
+    src_updates: Vec<Arc<PreparedUpdate>>,
+    src_queries: Vec<Arc<PreparedQuery>>,
+}
+
+impl InternedPlan {
+    /// The number of sequences of `length` update calls the plan tests.
+    fn sequences(&self, length: usize) -> u128 {
+        (self.calls.update_calls.len() as u128)
+            .saturating_pow(length as u32)
+            .saturating_mul(self.calls.query_calls.len() as u128)
+    }
+}
+
+/// One plan's target side for one check: its calls' body ids and compiled
+/// plans against the candidate.
+struct TargetPlans {
+    /// Target-side body ids, parallel to `calls.update_calls`.
+    body_ids: Vec<u32>,
+    updates: Vec<Arc<PreparedUpdate>>,
+    queries: Vec<Arc<PreparedQuery>>,
+}
+
+/// One plan as one check tests it.
+struct CheckPlan {
+    plan: Arc<InternedPlan>,
+    key: VerdictKey,
+    /// The lengths an earlier check walked this plan to exhaustion at (bit
+    /// `l` for length `l`), as the cache held them when the check began.
+    exhausted: u64,
+    /// `None` when every length the check tests is remembered.
+    target: Option<TargetPlans>,
+}
+
+impl CheckPlan {
+    /// Whether an earlier check walked this plan at `length` to
+    /// exhaustion. Lengths of 64 and more are never remembered.
+    fn remembered(&self, length: usize) -> bool {
+        verdict_bit(length).is_some_and(|bit| self.exhausted & bit != 0)
+    }
+}
+
+/// The bit of a [`VerdictKey`]'s entry that stands for `length`.
+fn verdict_bit(length: usize) -> Option<u64> {
+    u32::try_from(length)
+        .ok()
+        .and_then(|length| 1u64.checked_shl(length))
 }
 
 impl PrefixCache {
@@ -733,79 +913,188 @@ impl PrefixCache {
         })
     }
 
-    /// One side of a check, with the body of every function the check's
-    /// plans can call — the source program's functions — interned once.
-    fn side<'a>(
+    /// The body id of the function `target` defines under each source
+    /// function's name, printing only the functions that differ from the
+    /// ones the last check saw.
+    fn target_bodies(&mut self, target: &Program, source: &Program) -> Vec<u32> {
+        self.target_bodies.resize(source.functions.len(), None);
+        let mut ids = Vec::with_capacity(source.functions.len());
+        for (position, function) in source.functions.iter().enumerate() {
+            let current = target.function(&function.name);
+            let id = match (&self.target_bodies[position], current) {
+                (Some((seen, id)), Some(current)) if seen == current => *id,
+                _ => {
+                    let id = self.intern_function(target, &function.name);
+                    self.target_bodies[position] = current.map(|f| (f.clone(), id));
+                    id
+                }
+            };
+            ids.push(id);
+        }
+        ids
+    }
+
+    /// The plan of the source query at position `query` over the source
+    /// updates at positions `updates`, with its calls interned through the
+    /// oracle and its source side compiled.
+    fn intern_plan(
         &mut self,
-        target: bool,
-        program: &'a Program,
-        schema: &'a Schema,
-        source: &'a Program,
-    ) -> Side<'a> {
-        let bodies = source
-            .functions
+        oracle: &SourceOracle<'_>,
+        config: &TestConfig,
+        query: usize,
+        updates: &[usize],
+    ) -> InternedPlan {
+        let source = oracle.program();
+        let (calls, update_functions) = QueryPlan::new(config, source, query, updates);
+        let update_ids: Vec<u32> = calls
+            .update_calls
             .iter()
-            .map(|f| (f.name.as_str(), self.intern_function(program, &f.name)))
+            .map(|c| oracle.intern(c))
             .collect();
-        Side {
-            target,
-            program,
-            schema,
-            bodies,
+        let query_ids: Vec<u32> = calls.query_calls.iter().map(|c| oracle.intern(c)).collect();
+        let split = u32::try_from(update_ids.len()).expect("more than u32::MAX update calls");
+        let list: Box<[u32]> = std::iter::once(split)
+            .chain(update_ids.iter().copied())
+            .chain(query_ids.iter().copied())
+            .collect();
+        let next = u32::try_from(self.call_lists.len()).expect("more than u32::MAX call lists");
+        let list = *self.call_lists.entry(list).or_insert(next);
+        let src_body_ids: Vec<u32> = update_functions
+            .iter()
+            .map(|&f| self.source_bodies[f])
+            .collect();
+        let side = Side {
+            target: false,
+            program: source,
+            schema: oracle.schema(),
+        };
+        InternedPlan {
+            src_updates: self.compiled.updates(
+                side,
+                &calls.update_calls,
+                &update_ids,
+                &src_body_ids,
+            ),
+            src_queries: self.compiled.queries(
+                side,
+                &calls.query_calls,
+                &query_ids,
+                self.source_bodies[query],
+            ),
+            calls,
+            update_ids,
+            query_ids,
+            list,
+            updates: updates.to_vec(),
+            query,
+            update_functions,
+            src_body_ids,
         }
     }
 
-    /// The compiled plans of every call of one check, compiling only those
-    /// whose `(side, call, body)` no earlier check through this cache
+    /// The plans of one check. A plan's target side is compiled only if the
+    /// check has a length of it left to walk, and only for the
+    /// `(side, call, body)` keys no earlier check through this cache
     /// compiled.
     fn prepare(
         &mut self,
         oracle: &SourceOracle<'_>,
         target: &Program,
         target_schema: &Schema,
-        plans: &[QueryPlan],
-    ) -> Vec<PreparedPlan> {
+        config: &TestConfig,
+    ) -> Vec<CheckPlan> {
         let source = oracle.program();
-        let src = self.side(false, source, oracle.schema(), source);
-        let tgt = self.side(true, target, target_schema, source);
-        plans
-            .iter()
-            .map(|plan| {
-                let update_ids: Vec<u32> =
-                    plan.update_calls.iter().map(|c| oracle.intern(c)).collect();
-                let query_ids: Vec<u32> =
-                    plan.query_calls.iter().map(|c| oracle.intern(c)).collect();
-                let mut updates = |side: &Side<'_>| {
-                    side.compiled(
-                        &mut self.update_plans,
-                        &mut self.plans_compiled,
-                        &plan.update_calls,
-                        &update_ids,
-                        prepare_update,
-                    )
-                };
-                let (src_updates, tgt_updates) = (updates(&src), updates(&tgt));
-                let mut queries = |side: &Side<'_>| {
-                    side.compiled(
-                        &mut self.query_plans,
-                        &mut self.plans_compiled,
-                        &plan.query_calls,
-                        &query_ids,
-                        prepare_query,
-                    )
-                };
-                let (src_queries, tgt_queries) = (queries(&src), queries(&tgt));
-                PreparedPlan {
-                    src_updates,
-                    tgt_updates,
-                    src_queries,
-                    tgt_queries,
-                    src_body_ids: plan.update_calls.iter().map(|c| src.body(c)).collect(),
-                    tgt_body_ids: plan.update_calls.iter().map(|c| tgt.body(c)).collect(),
-                    update_ids,
+        if self.source_bodies.len() != source.functions.len() {
+            self.source_bodies = source
+                .functions
+                .iter()
+                .map(|f| self.intern_function(source, &f.name))
+                .collect();
+        }
+        let target_bodies = self.target_bodies(target, source);
+        let config_index = match self.configs.iter().position(|seen| seen == config) {
+            Some(index) => index,
+            None => {
+                self.configs.push(config.clone());
+                self.configs.len() - 1
+            }
+        };
+        let target_side = Side {
+            target: true,
+            program: target,
+            schema: target_schema,
+        };
+        let mut plans = Vec::new();
+        for (query, updates) in selections(source, target, config) {
+            let plan_key = (config_index, query, updates);
+            let plan = match self.plans.get(&plan_key) {
+                Some(plan) => Arc::clone(plan),
+                None => {
+                    let plan = Arc::new(self.intern_plan(oracle, config, query, &plan_key.2));
+                    self.plans.insert(plan_key, Arc::clone(&plan));
+                    plan
                 }
-            })
-            .collect()
+            };
+            let key: VerdictKey = (
+                plan.list,
+                plan.updates
+                    .iter()
+                    .chain([&plan.query])
+                    .map(|&f| target_bodies[f])
+                    .collect(),
+            );
+            let exhausted = self.exhausted.get(&key).copied().unwrap_or(0);
+            let mut check = CheckPlan {
+                plan,
+                key,
+                exhausted,
+                target: None,
+            };
+            let last = if check.plan.calls.update_calls.is_empty() {
+                0
+            } else {
+                config.max_updates
+            };
+            if !(0..=last).all(|length| check.remembered(length)) {
+                let plan = &check.plan;
+                let body_ids: Vec<u32> = plan
+                    .update_functions
+                    .iter()
+                    .map(|&f| target_bodies[f])
+                    .collect();
+                check.target = Some(TargetPlans {
+                    updates: self.compiled.updates(
+                        target_side,
+                        &plan.calls.update_calls,
+                        &plan.update_ids,
+                        &body_ids,
+                    ),
+                    queries: self.compiled.queries(
+                        target_side,
+                        &plan.calls.query_calls,
+                        &plan.query_ids,
+                        target_bodies[plan.query],
+                    ),
+                    body_ids,
+                });
+            }
+            plans.push(check);
+        }
+        plans
+    }
+
+    /// Remembers that a check walked the plan with `key` at `length` to
+    /// exhaustion.
+    fn remember_exhausted(&mut self, key: &VerdictKey, length: usize) {
+        let Some(bit) = verdict_bit(length) else {
+            return;
+        };
+        match self.exhausted.get_mut(key) {
+            Some(lengths) => *lengths |= bit,
+            None => {
+                self.exhausted.insert(key.clone(), bit);
+            }
+        }
     }
 
     /// The cached state for `key`, computing (and, capacity permitting,
@@ -823,19 +1112,20 @@ impl PrefixCache {
     }
 }
 
-/// The cache key of an update-call prefix on one side: each step pairs the
-/// oracle-interned call with the interned body of the function it invokes,
-/// so the key changes exactly when the prefix's semantics can.
-fn prefix_key(
-    target_side: bool,
-    path: &[usize],
-    update_ids: &[u32],
-    body_ids: &[u32],
-) -> PrefixKey {
-    (
-        target_side,
-        path.iter().map(|&i| (update_ids[i], body_ids[i])).collect(),
-    )
+/// The cache key of an update-call prefix of at most [`PREFIX_CACHE_DEPTH`]
+/// steps on one side: each step pairs the oracle-interned call with the
+/// interned body of the function it invokes, so the key changes exactly
+/// when the prefix's semantics can.
+fn prefix_key(target: bool, path: &[usize], update_ids: &[u32], body_ids: &[u32]) -> PrefixKey {
+    let mut steps = [(0, 0); PREFIX_CACHE_DEPTH];
+    for (step, &i) in steps.iter_mut().zip(path) {
+        *step = (update_ids[i], body_ids[i]);
+    }
+    PrefixKey {
+        target,
+        len: path.len(),
+        steps,
+    }
 }
 
 /// Result of walking one (plan, depth) subtree.
@@ -879,23 +1169,6 @@ enum PreparedQuery {
     /// touches rows only (see [`RowsPlan`]).
     Ready(RowsPlan),
     Failed(Error),
-}
-
-/// One plan's calls, compiled for both sides (shared with the
-/// [`PrefixCache`] that memoizes them).
-struct PreparedPlan {
-    /// Interned oracle ids, parallel to `QueryPlan::update_calls`.
-    update_ids: Vec<u32>,
-    /// Source-side interned function-body ids, parallel to
-    /// `QueryPlan::update_calls`.
-    src_body_ids: Vec<u32>,
-    /// Target-side interned function-body ids, parallel to
-    /// `QueryPlan::update_calls`.
-    tgt_body_ids: Vec<u32>,
-    src_updates: Vec<Arc<PreparedUpdate>>,
-    tgt_updates: Vec<Arc<PreparedUpdate>>,
-    src_queries: Vec<Arc<PreparedQuery>>,
-    tgt_queries: Vec<Arc<PreparedQuery>>,
 }
 
 fn prepare_update(program: &Program, schema: &Schema, call: &Call) -> PreparedUpdate {
@@ -948,14 +1221,20 @@ fn prepare_query(program: &Program, schema: &Schema, call: &Call) -> PreparedQue
 /// * `profile`, when supplied, receives the check's per-phase accounting
 ///   (plan compilation, tree walk, snapshot copying). Without one the check
 ///   takes no extra clock reads.
-/// * `cache`, when supplied, shares compiled plans and executed
-///   update-prefix states with the other checks that pass it; without one
-///   the check runs through a check-local cache.
+/// * `cache`, when supplied, shares compiled plans, executed update-prefix
+///   states and exhausted (plan, length) verdicts with the other checks
+///   that pass it; without one the check runs through a check-local cache.
 ///
 /// None of the three changes *what* is reported — the counterexample,
 /// `sequences_tested` and `bound_exhausted` are the same with or without
 /// them, and with a token that never fires; a cache changes only which
-/// update executions are skipped.
+/// update executions and which exhausted subtrees are skipped. A skipped
+/// subtree's `fanout^length × |queries|` sequences are counted as the walk
+/// counts a subtree on which both programs failed, the
+/// [`TestConfig::max_sequences`] budget included, so it reports what the
+/// walk would have: the walk of a (plan, length) pair is a function of the
+/// pair's calls and function bodies alone, and only walks that found no
+/// counterexample, hit no budget and were not cancelled are remembered.
 pub fn compare_with_oracle(
     oracle: &SourceOracle<'_>,
     target: &Program,
@@ -969,13 +1248,12 @@ pub fn compare_with_oracle(
     let compile_start = timed.then(Instant::now);
     let mut local = PrefixCache::new();
     let cache = cache.unwrap_or(&mut local);
-    let compiled_before = cache.plans_compiled;
+    let compiled_before = cache.compiled.count;
     let hits_before = cache.hits();
-    let plans = build_plans(oracle.program(), target, config);
-    let prepared = cache.prepare(oracle, target, target_schema, &plans);
+    let plans = cache.prepare(oracle, target, target_schema, config);
     if let (Some(profile), Some(start)) = (profile.as_deref_mut(), compile_start) {
         profile.plan_compile_time += start.elapsed();
-        profile.plans_compiled += cache.plans_compiled - compiled_before;
+        profile.plans_compiled += cache.compiled.count - compiled_before;
     }
     let mut snap = SnapStats {
         timed,
@@ -1003,25 +1281,41 @@ pub fn compare_with_oracle(
             cancelled: true,
         };
         for length in 0..=config.max_updates {
-            for (plan, prep) in plans.iter().zip(&prepared) {
-                if length > 0 && plan.update_calls.is_empty() {
+            for check in &plans {
+                let plan = &check.plan;
+                if length > 0 && plan.calls.update_calls.is_empty() {
                     continue;
                 }
                 if cancel.is_some_and(CancelToken::is_cancelled) {
                     return cancelled_report(sequences_tested);
                 }
-                match search_plan(
-                    oracle.schema(),
-                    target_schema,
-                    plan,
-                    prep,
-                    config,
-                    length,
-                    &mut sequences_tested,
-                    cancel,
-                    &mut snap,
-                    cache,
-                ) {
+                let search = if check.remembered(length) {
+                    // An earlier check walked this very subtree to exhaustion.
+                    count_agreed(
+                        plan.sequences(length),
+                        config.max_sequences,
+                        &mut sequences_tested,
+                    )
+                } else {
+                    let target_plans = check.target.as_ref().expect("prepared: a length is left");
+                    let search = search_plan(
+                        oracle.schema(),
+                        target_schema,
+                        plan,
+                        target_plans,
+                        config,
+                        length,
+                        &mut sequences_tested,
+                        cancel,
+                        &mut snap,
+                        cache,
+                    );
+                    if matches!(search, Search::Exhausted) {
+                        cache.remember_exhausted(&check.key, length);
+                    }
+                    search
+                };
+                match search {
                     Search::Exhausted => {}
                     Search::Counterexample(sequence) => {
                         return EquivalenceReport {
@@ -1079,8 +1373,14 @@ pub fn compare_with_oracle(
 const PARALLEL_LEAF_THRESHOLD: u128 = 4096;
 
 /// One resolved root of a (plan, length) subtree: the update-call path to
-/// it and both sides' states after that path.
-type Root = (Vec<usize>, Arc<ExecState>, Arc<ExecState>);
+/// it (the first `len` entries of `path`) and both sides' states after that
+/// path.
+struct Root {
+    path: [usize; PREFIX_CACHE_DEPTH],
+    len: usize,
+    src: Arc<ExecState>,
+    tgt: Arc<ExecState>,
+}
 
 /// Searches one (plan, length) subtree, in parallel when profitable.
 ///
@@ -1110,8 +1410,8 @@ type Root = (Vec<usize>, Arc<ExecState>, Arc<ExecState>);
 fn search_plan(
     source_schema: &Schema,
     target_schema: &Schema,
-    plan: &QueryPlan,
-    prep: &PreparedPlan,
+    plan: &InternedPlan,
+    target: &TargetPlans,
     config: &TestConfig,
     length: usize,
     sequences_tested: &mut usize,
@@ -1119,31 +1419,40 @@ fn search_plan(
     snap: &mut SnapStats,
     cache: &mut PrefixCache,
 ) -> Search {
-    let fanout = plan.update_calls.len();
+    let fanout = plan.calls.update_calls.len();
     let base = length.min(PREFIX_CACHE_DEPTH);
 
     // Resolve the first `base` levels through the cache, level by level in
     // lexicographic order. Misses execute the update once and account the
     // clone in a local SnapStats folded below, exactly like a walk subtree.
     let mut resolve_snap = snap.fresh();
-    let src_root = Arc::new(ExecState::Live(Instance::empty(source_schema), 0));
-    let tgt_root = Arc::new(ExecState::Live(Instance::empty(target_schema), 0));
-    let mut roots: Vec<Root> = vec![(Vec::new(), src_root, tgt_root)];
+    let mut roots = vec![Root {
+        path: [0; PREFIX_CACHE_DEPTH],
+        len: 0,
+        src: Arc::new(ExecState::Live(Instance::empty(source_schema), 0)),
+        tgt: Arc::new(ExecState::Live(Instance::empty(target_schema), 0)),
+    }];
     for _ in 0..base {
         let mut next = Vec::with_capacity(roots.len() * fanout);
-        for (path, src, tgt) in &roots {
+        for root in &roots {
             for i in 0..fanout {
-                let mut child_path = path.clone();
-                child_path.push(i);
-                let src_child = cache.resolve(
-                    prefix_key(false, &child_path, &prep.update_ids, &prep.src_body_ids),
-                    || apply_update(&prep.src_updates[i], src, &mut resolve_snap),
+                let mut path = root.path;
+                path[root.len] = i;
+                let steps = &path[..=root.len];
+                let src = cache.resolve(
+                    prefix_key(false, steps, &plan.update_ids, &plan.src_body_ids),
+                    || apply_update(&plan.src_updates[i], &root.src, &mut resolve_snap),
                 );
-                let tgt_child = cache.resolve(
-                    prefix_key(true, &child_path, &prep.update_ids, &prep.tgt_body_ids),
-                    || apply_update(&prep.tgt_updates[i], tgt, &mut resolve_snap),
+                let tgt = cache.resolve(
+                    prefix_key(true, steps, &plan.update_ids, &target.body_ids),
+                    || apply_update(&target.updates[i], &root.tgt, &mut resolve_snap),
                 );
-                next.push((child_path, src_child, tgt_child));
+                next.push(Root {
+                    path,
+                    len: root.len + 1,
+                    src,
+                    tgt,
+                });
             }
         }
         roots = next;
@@ -1154,23 +1463,25 @@ fn search_plan(
     // Walks the `length - base` levels below one root, counting into
     // `counter`, and hands back the walk's own accounting.
     let blank = snap.fresh();
-    let walk_root = |(path, src, tgt): &Root,
+    let walk_root = |root: &Root,
                      cap: Option<usize>,
                      counter: &mut usize,
                      cancel: Option<(&StopCtx, usize)>|
      -> (Search, SnapStats) {
+        let mut path = Vec::with_capacity(length);
+        path.extend_from_slice(&root.path[..root.len]);
         let mut dfs = Dfs {
             plan,
-            prep,
+            target,
             cap,
             sequences_tested: counter,
-            path: path.clone(),
+            path,
             cancel,
             token,
             polls: 0,
             snap: blank,
-            src: WorkState::from_snapshot(src, source_schema),
-            tgt: WorkState::from_snapshot(tgt, target_schema),
+            src: WorkState::from_snapshot(&root.src, source_schema),
+            tgt: WorkState::from_snapshot(&root.tgt, target_schema),
         };
         let search = dfs.walk(length - base);
         fold_snapshot_peak(dfs.snap.peak);
@@ -1178,9 +1489,7 @@ fn search_plan(
     };
 
     let workers = parpool::thread_limit();
-    let leaves_estimate = (fanout as u128)
-        .saturating_pow(length as u32)
-        .saturating_mul(plan.query_calls.len() as u128);
+    let leaves_estimate = plan.sequences(length);
     // The sequence cap is a single global budget: splitting it across
     // workers would change which sequence exhausts it, so capped checks run
     // sequentially (they are bounded by construction anyway).
@@ -1323,11 +1632,11 @@ struct Frame {
 
 /// Depth-first walker over the update-call tree of one query plan.
 struct Dfs<'a> {
-    plan: &'a QueryPlan,
-    prep: &'a PreparedPlan,
+    plan: &'a InternedPlan,
+    target: &'a TargetPlans,
     cap: Option<usize>,
     sequences_tested: &'a mut usize,
-    /// Indices into `plan.update_calls` for the current prefix, used to
+    /// Indices into the plan's update calls for the current prefix, used to
     /// materialize the [`InvocationSequence`] only when a counterexample is
     /// actually found.
     path: Vec<usize>,
@@ -1399,10 +1708,10 @@ impl Dfs<'_> {
             // therefore agrees: account for the subtree without walking it.
             return self.skip_agreed_subtree(depth);
         }
-        let prep = self.prep;
-        for i in 0..self.plan.update_calls.len() {
-            let src_frame = apply_in_place(&prep.src_updates[i], &mut self.src, &mut self.snap);
-            let tgt_frame = apply_in_place(&prep.tgt_updates[i], &mut self.tgt, &mut self.snap);
+        let (plan, target) = (self.plan, self.target);
+        for i in 0..plan.calls.update_calls.len() {
+            let src_frame = apply_in_place(&plan.src_updates[i], &mut self.src, &mut self.snap);
+            let tgt_frame = apply_in_place(&target.updates[i], &mut self.tgt, &mut self.snap);
             self.path.push(i);
             let result = self.walk(depth - 1);
             self.path.pop();
@@ -1417,8 +1726,8 @@ impl Dfs<'_> {
 
     /// Runs (and counts) all query calls against the two working states.
     fn leaves(&mut self) -> Search {
-        let prep = self.prep;
-        for qi in 0..self.plan.query_calls.len() {
+        let (plan, target) = (self.plan, self.target);
+        for qi in 0..plan.calls.query_calls.len() {
             if let Some(cap) = self.cap {
                 if *self.sequences_tested >= cap {
                     return Search::CapHit;
@@ -1431,39 +1740,43 @@ impl Dfs<'_> {
                 continue;
             }
             self.snap.src_queries += 1;
-            let src_outcome = work_outcome(&prep.src_queries[qi], &self.src);
-            let tgt_outcome = work_outcome(&prep.tgt_queries[qi], &self.tgt);
+            let src_outcome = work_outcome(&plan.src_queries[qi], &self.src);
+            let tgt_outcome = work_outcome(&target.queries[qi], &self.tgt);
             if !outcomes_agree(&src_outcome, &tgt_outcome) {
                 // Materialize the failing sequence only now, on the cold
                 // path: the hot path never clones calls.
                 let updates: Vec<Call> = self
                     .path
                     .iter()
-                    .map(|&i| self.plan.update_calls[i].clone())
+                    .map(|&i| plan.calls.update_calls[i].clone())
                     .collect();
-                let sequence = InvocationSequence::new(updates, self.plan.query_calls[qi].clone());
+                let sequence = InvocationSequence::new(updates, plan.calls.query_calls[qi].clone());
                 return Search::Counterexample(sequence);
             }
         }
         Search::Exhausted
     }
 
-    /// Accounts for a subtree whose sequences all trivially agree, honoring
-    /// the sequence budget exactly as if they had been enumerated one by one.
+    /// Accounts for a subtree whose sequences all trivially agree.
     fn skip_agreed_subtree(&mut self, depth: usize) -> Search {
-        let fanout = self.plan.update_calls.len() as u128;
-        let leaves = fanout.saturating_pow(depth as u32);
-        let sequences = leaves.saturating_mul(self.plan.query_calls.len() as u128);
-        if let Some(cap) = self.cap {
-            let remaining = cap.saturating_sub(*self.sequences_tested) as u128;
-            if sequences > remaining {
-                *self.sequences_tested = cap;
-                return Search::CapHit;
-            }
-        }
-        *self.sequences_tested += sequences as usize;
-        Search::Exhausted
+        count_agreed(self.plan.sequences(depth), self.cap, self.sequences_tested)
     }
+}
+
+/// Counts `sequences` sequences that all agree without running them,
+/// honoring the sequence budget `cap` exactly as if they had been enumerated
+/// one by one: [`Search::CapHit`], with the budget spent, when they do not
+/// all fit in what is left of it.
+fn count_agreed(sequences: u128, cap: Option<usize>, sequences_tested: &mut usize) -> Search {
+    if let Some(cap) = cap {
+        let remaining = cap.saturating_sub(*sequences_tested) as u128;
+        if sequences > remaining {
+            *sequences_tested = cap;
+            return Search::CapHit;
+        }
+    }
+    *sequences_tested += sequences as usize;
+    Search::Exhausted
 }
 
 /// Executes one (pre-resolved, pre-bound) update call **in place** on a
@@ -1905,6 +2218,112 @@ mod tests {
         changed.functions[0].body = FunctionBody::Update(Update::Seq(vec![]));
         assert_eq!(compiled(&changed), add_user.len() as u64);
         assert_eq!(compiled(&candidate), 0, "the old body's plans are kept");
+    }
+
+    /// Exhausted (plan, length) verdicts carry across the checks of one
+    /// cache. Re-checking a candidate walks nothing — no prefix resolved, no
+    /// update executed, no source query evaluated — and reports the same;
+    /// changing one update function's body re-walks exactly the plans whose
+    /// relevance closure holds that function, at every length.
+    #[test]
+    fn exhausted_subtrees_are_not_walked_again() {
+        let schema = Schema::parse(
+            "User(uid: int, name: string)\n\
+             Tag(label: string, owner: int)",
+        )
+        .unwrap();
+        // `make_program` plus a `Tag` table with its own update and query,
+        // so the two queries' relevance closures are disjoint. The flag
+        // reverses the order in which `addTag` lists its values: the same
+        // update, a different body.
+        let with_tags = |reversed: bool| {
+            let mut values = vec![
+                (QualifiedAttr::new("Tag", "label"), Operand::param("label")),
+                (QualifiedAttr::new("Tag", "owner"), Operand::param("owner")),
+            ];
+            if reversed {
+                values.reverse();
+            }
+            let mut program = make_program(true);
+            program.functions.push(Function::update(
+                "addTag",
+                vec![
+                    Param::new("label", DataType::String),
+                    Param::new("owner", DataType::Int),
+                ],
+                Update::Insert {
+                    join: JoinChain::table("Tag"),
+                    values,
+                },
+            ));
+            program.functions.push(Function::query(
+                "getTag",
+                vec![Param::new("label", DataType::String)],
+                Query::select(
+                    vec![QualifiedAttr::new("Tag", "owner")],
+                    Pred::eq_value(QualifiedAttr::new("Tag", "label"), Operand::param("label")),
+                    JoinChain::table("Tag"),
+                ),
+            ));
+            program
+        };
+        let source = with_tags(false);
+        let reordered = with_tags(true);
+        let oracle = SourceOracle::new(&source, &schema);
+        let config = TestConfig {
+            max_updates: 3,
+            ..TestConfig::default()
+        };
+        let mut cache = PrefixCache::new();
+        // Each check's report and profile, and the source queries it
+        // evaluated: one per sequence it walked.
+        let mut check = |candidate: &Program| {
+            let before = oracle.computes();
+            let mut profile = CheckProfile::default();
+            let report = compare_with_oracle(
+                &oracle,
+                candidate,
+                &schema,
+                &config,
+                None,
+                Some(&mut profile),
+                Some(&mut cache),
+            );
+            (report, profile, oracle.computes() - before)
+        };
+
+        let (cold, profile, walked) = check(&source);
+        assert!(cold.equivalent && cold.bound_exhausted);
+        assert_eq!(
+            walked, cold.sequences_tested,
+            "a cold check walks every sequence"
+        );
+        assert!(profile.prefix_cache_hits > 0 && profile.undo_frames > 0);
+
+        let (warm, profile, walked) = check(&source);
+        assert_eq!(warm, cold);
+        assert_eq!(walked, 0, "a re-check walks nothing");
+        assert_eq!(profile.prefix_cache_hits, 0, "and resolves no prefix");
+        assert_eq!(profile.undo_frames, 0, "and executes no update");
+        assert_eq!(profile.snapshots_taken, 0);
+
+        let (changed, _, walked) = check(&reordered);
+        let combos = |name: &str| {
+            config
+                .arg_combinations(reordered.function(name).unwrap())
+                .len()
+        };
+        let (add_tag, get_tag) = (combos("addTag"), combos("getTag"));
+        let tag_plan: usize = (0..=3).map(|length| add_tag.pow(length) * get_tag).sum();
+        assert_eq!(walked, tag_plan, "only getTag's plan holds addTag");
+        assert_eq!(
+            changed,
+            compare_programs(&source, &schema, &reordered, &schema, &config)
+        );
+        assert_eq!(changed.sequences_tested, cold.sequences_tested);
+
+        let (again, _, walked) = check(&reordered);
+        assert_eq!((again, walked), (changed, 0));
     }
 
     #[test]

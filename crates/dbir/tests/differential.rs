@@ -592,6 +592,182 @@ fn shared_cache_stream_is_thread_count_invariant() {
     assert!(computes > 0);
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random candidate streams through one oracle and one shared
+    /// `PrefixCache`, the way a sketch run checks them: the stream runs
+    /// twice over with the source in its middle, so later checks skip the
+    /// (plan, length) subtrees earlier ones exhausted. Each candidate is
+    /// checked under the drawn configuration, then without its sequence
+    /// cap, then under it again, so a cap can stop a walk short of a
+    /// counterexample that the uncapped check must still find, and can land
+    /// inside a subtree the uncapped check just exhausted. Every report
+    /// equals the naive reference's and a cold check's, at a thread budget
+    /// of one and of four, for sequences of up to five updates.
+    #[test]
+    fn shared_cache_streams_match_naive_and_cold_checks(
+        source_shape in shape_strategy(),
+        stream in proptest::collection::vec(shape_strategy(), 1..4),
+        config in config_strategy(),
+        depth in 0usize..2,
+    ) {
+        let schema = schema();
+        let source = build_program(&source_shape);
+        let uncapped = deepened(TestConfig { max_sequences: None, ..config.clone() }, depth);
+        let drawn = TestConfig { max_sequences: config.max_sequences, ..uncapped.clone() };
+        let candidates: Vec<Program> = stream
+            .iter()
+            .chain([&source_shape])
+            .chain(&stream)
+            .map(build_program)
+            .collect();
+        for threads in [1, 4] {
+            parpool::set_thread_limit(threads);
+            let oracle = SourceOracle::new(&source, &schema);
+            let mut cache = PrefixCache::new();
+            for candidate in &candidates {
+                for config in [&drawn, &uncapped, &drawn] {
+                    let shared = compare_with_oracle(
+                        &oracle, candidate, &schema, config, None, None, Some(&mut cache),
+                    );
+                    let cold = compare_with_oracle(&oracle, candidate, &schema, config, None, None, None);
+                    let naive = compare_programs_naive(&source, &schema, candidate, &schema, config);
+                    prop_assert_eq!(&shared, &cold, "threads {}, config {:?}", threads, config);
+                    prop_assert_eq!(&shared, &naive, "threads {}, config {:?}", threads, config);
+                }
+            }
+        }
+        // Restore the default for the other tests in this binary.
+        parpool::set_thread_limit(0);
+    }
+}
+
+/// A sequence cap that lands inside subtrees an earlier check through the
+/// same cache exhausted: the capped re-check walks nothing, yet it stops at
+/// the same count, with the same verdict, as the naive reference — for
+/// every cap from before the first sequence to past the last.
+#[test]
+fn a_cap_inside_remembered_subtrees_stops_where_the_walk_would() {
+    let schema = schema();
+    let program = build_program(&ProgramShape {
+        honest_insert: true,
+        with_delete: true,
+        with_tag_update: true,
+        with_docs: true,
+        projection: 2,
+        predicate: 3,
+    });
+    let config = TestConfig {
+        max_arg_combinations: Some(2),
+        ..TestConfig::default()
+    };
+    let oracle = SourceOracle::new(&program, &schema);
+    let mut cache = PrefixCache::new();
+    let full = compare_with_oracle(
+        &oracle,
+        &program,
+        &schema,
+        &config,
+        None,
+        None,
+        Some(&mut cache),
+    );
+    assert!(full.equivalent && full.bound_exhausted);
+    let total = full.sequences_tested;
+    for cap in 0..=total + 1 {
+        let capped = TestConfig {
+            max_sequences: Some(cap),
+            ..config.clone()
+        };
+        let before = oracle.computes();
+        let report = compare_with_oracle(
+            &oracle,
+            &program,
+            &schema,
+            &capped,
+            None,
+            None,
+            Some(&mut cache),
+        );
+        assert_eq!(
+            oracle.computes(),
+            before,
+            "cap {cap}: the re-check walks nothing"
+        );
+        assert_eq!(
+            report,
+            compare_programs_naive(&program, &schema, &program, &schema, &capped),
+            "cap {cap}"
+        );
+        assert_eq!(report.sequences_tested, cap.min(total));
+        assert_eq!(report.bound_exhausted, cap >= total, "cap {cap}");
+    }
+}
+
+/// Only walks that exhaust their subtree are remembered: for every cap short
+/// of a candidate's counterexample, a capped check leaves the subtree that
+/// holds it to be walked again, so the uncapped check after it through the
+/// same cache still finds the counterexample.
+#[test]
+fn a_capped_walk_is_not_remembered() {
+    let schema = schema();
+    let shape = ProgramShape {
+        honest_insert: true,
+        with_delete: true,
+        with_tag_update: true,
+        with_docs: true,
+        projection: 0,
+        predicate: 0,
+    };
+    let source = build_program(&shape);
+    let candidate = build_program(&ProgramShape {
+        predicate: 1,
+        ..shape
+    });
+    let config = TestConfig {
+        max_arg_combinations: Some(2),
+        ..TestConfig::default()
+    };
+    let expected = compare_programs_naive(&source, &schema, &candidate, &schema, &config);
+    let cex = expected
+        .counterexample
+        .as_ref()
+        .expect("the candidate differs");
+    assert!(
+        !cex.updates.is_empty(),
+        "the counterexample sits below the root"
+    );
+    for cap in 0..expected.sequences_tested {
+        let capped = TestConfig {
+            max_sequences: Some(cap),
+            ..config.clone()
+        };
+        let oracle = SourceOracle::new(&source, &schema);
+        let mut cache = PrefixCache::new();
+        let stopped = compare_with_oracle(
+            &oracle,
+            &candidate,
+            &schema,
+            &capped,
+            None,
+            None,
+            Some(&mut cache),
+        );
+        assert!(stopped.equivalent && !stopped.bound_exhausted, "cap {cap}");
+        let full = compare_with_oracle(
+            &oracle,
+            &candidate,
+            &schema,
+            &config,
+            None,
+            None,
+            Some(&mut cache),
+        );
+        assert_eq!(full, expected, "cap {cap}");
+    }
+}
+
 /// Copy-on-write aliasing: mutating one clone never perturbs its siblings,
 /// the original, or a cached snapshot — and tables nobody mutated stay
 /// physically shared (counted once, not once per clone).

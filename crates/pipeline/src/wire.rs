@@ -358,11 +358,28 @@ impl PipelineObserver for NdjsonWriter {
 /// Shared state of a [`LineBus`]: the full line history plus whether the
 /// stream is closed.
 struct LineBusState {
-    lines: Vec<String>,
+    /// Every complete line, concatenated without their newlines.
+    text: String,
+    /// The end offset in `text` of each complete line.
+    ends: Vec<usize>,
     closed: bool,
     /// Bytes received that are not yet terminated by `\n` (the bus is a
     /// `Write` sink, and one logical line may arrive as several writes).
     partial: String,
+}
+
+impl LineBusState {
+    /// The line at `index`.
+    fn line(&self, index: usize) -> &str {
+        let start = index.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.text[start..self.ends[index]]
+    }
+
+    /// Appends one complete line.
+    fn push_line(&mut self, line: &str) {
+        self.text.push_str(line);
+        self.ends.push(self.text.len());
+    }
 }
 
 /// A replayable fan-out of one NDJSON stream to any number of subscribers.
@@ -373,7 +390,9 @@ struct LineBusState {
 /// subscribers, so the bus keeps the full line history (job streams are
 /// bounded: one run's events) and hands each [`LineFollower`] its own
 /// cursor into it. Followers block on a condvar until new lines arrive or
-/// the bus closes.
+/// the bus closes. The history is one string of concatenated lines plus
+/// their end offsets, trimmed to its length when the bus closes, so a
+/// finished stream holds little more than its own bytes.
 ///
 /// The bus implements [`Write`], so it can serve directly as an
 /// [`NdjsonWriter`] sink: whatever framing the writer produces is replayed
@@ -388,7 +407,7 @@ impl std::fmt::Debug for LineBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         f.debug_struct("LineBus")
-            .field("lines", &state.lines.len())
+            .field("lines", &state.ends.len())
             .field("closed", &state.closed)
             .finish()
     }
@@ -405,7 +424,8 @@ impl LineBus {
     pub fn new() -> LineBus {
         LineBus {
             state: Mutex::new(LineBusState {
-                lines: Vec::new(),
+                text: String::new(),
+                ends: Vec::new(),
                 closed: false,
                 partial: String::new(),
             }),
@@ -416,18 +436,21 @@ impl LineBus {
     /// Appends one complete line (without trailing newline).
     pub fn push(&self, line: String) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.lines.push(line);
+        state.push_line(&line);
         self.wakeup.notify_all();
     }
 
     /// Closes the bus: followers drain the remaining history and then see
-    /// `None`. A trailing unterminated fragment is flushed as a final line.
+    /// `None`. A trailing unterminated fragment is flushed as a final line,
+    /// and the history gives back the capacity it grew beyond its length.
     pub fn close(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if !state.partial.is_empty() {
-            let line = std::mem::take(&mut state.partial);
-            state.lines.push(line);
+        let partial = std::mem::take(&mut state.partial);
+        if !partial.is_empty() {
+            state.push_line(&partial);
         }
+        state.text.shrink_to_fit();
+        state.ends.shrink_to_fit();
         state.closed = true;
         self.wakeup.notify_all();
     }
@@ -439,11 +462,10 @@ impl LineBus {
 
     /// A snapshot of every line pushed so far.
     pub fn lines(&self) -> Vec<String> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .lines
-            .clone()
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        (0..state.ends.len())
+            .map(|index| state.line(index).to_string())
+            .collect()
     }
 
     /// A new follower positioned at the start of the history, so every
@@ -459,20 +481,21 @@ impl LineBus {
 impl Write for &LineBus {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         let text = String::from_utf8_lossy(buf);
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = &mut *guard;
         if state.closed {
             return Err(std::io::Error::other("line bus closed"));
         }
+        let mut rest: &str = &text;
         let mut pushed = false;
-        for ch in text.chars() {
-            if ch == '\n' {
-                let line = std::mem::take(&mut state.partial);
-                state.lines.push(line);
-                pushed = true;
-            } else {
-                state.partial.push(ch);
-            }
+        while let Some(end) = rest.find('\n') {
+            state.text.push_str(&state.partial);
+            state.partial.clear();
+            state.push_line(&rest[..end]);
+            rest = &rest[end + 1..];
+            pushed = true;
         }
+        state.partial.push_str(rest);
         if pushed {
             self.wakeup.notify_all();
         }
@@ -512,8 +535,8 @@ impl LineFollower {
     pub fn next_line(&mut self) -> Option<String> {
         let mut state = self.bus.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if self.cursor < state.lines.len() {
-                let line = state.lines[self.cursor].clone();
+            if self.cursor < state.ends.len() {
+                let line = state.line(self.cursor).to_string();
                 self.cursor += 1;
                 return Some(line);
             }
@@ -540,8 +563,8 @@ impl LineFollower {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.bus.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if self.cursor < state.lines.len() {
-                let line = state.lines[self.cursor].clone();
+            if self.cursor < state.ends.len() {
+                let line = state.line(self.cursor).to_string();
                 self.cursor += 1;
                 return Ok(Some(line));
             }

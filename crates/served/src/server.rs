@@ -92,8 +92,10 @@ struct JobRecord {
     outcome: Option<String>,
     /// Whether the job solved *and* validated.
     ok: bool,
-    /// The job's single result document once done.
-    document: Option<Json>,
+    /// The job's single result document once done, rendered compactly
+    /// once: a finished job keeps text, not the document's tree, and every
+    /// `result` reply splices it in verbatim.
+    document: Option<String>,
     /// Fan-out of the job's NDJSON stream to watchers.
     bus: Arc<LineBus>,
     /// The writer producing that stream (kept to seal it exactly once).
@@ -275,11 +277,15 @@ fn scheduler_loop(state: &Arc<ServerState>) {
                     job.status = JobStatus::Done;
                     job.outcome = Some("cancelled".to_string());
                     job.ok = false;
-                    job.document =
-                        Some(Json::object().with("outcome", Json::str("cancelled")).with(
-                            "error",
-                            Json::str("job cancelled before it started (server shutdown)"),
-                        ));
+                    job.document = Some(
+                        Json::object()
+                            .with("outcome", Json::str("cancelled"))
+                            .with(
+                                "error",
+                                Json::str("job cancelled before it started (server shutdown)"),
+                            )
+                            .to_compact_string(),
+                    );
                     job.writer.finish("cancelled");
                     job.bus.close();
                 }
@@ -360,7 +366,7 @@ fn run_one(
         job.status = JobStatus::Done;
         job.outcome = Some(report.outcome.clone());
         job.ok = report.ok;
-        job.document = Some(report.document);
+        job.document = Some(report.document.to_compact_string());
     }
     writer.finish(&report.outcome);
     bus.close();
@@ -370,8 +376,29 @@ fn run_one(
 }
 
 fn reply(stream: &mut TcpStream, json: &Json) {
-    let _ = writeln!(stream, "{}", json.to_compact_string());
+    reply_line(stream, &json.to_compact_string());
+}
+
+fn reply_line(stream: &mut TcpStream, line: &str) {
+    let _ = writeln!(stream, "{line}");
     let _ = stream.flush();
+}
+
+/// The `result` reply of a finished job, with its stored compact `document`
+/// spliced in verbatim: byte-identical to rendering the reply object with
+/// the document's tree in it.
+fn result_reply(id: u64, outcome: &str, result_ok: bool, document: &str) -> String {
+    let mut line = Json::object()
+        .with("ok", Json::Bool(true))
+        .with("id", Json::from(id as usize))
+        .with("outcome", Json::str(outcome))
+        .with("result_ok", Json::Bool(result_ok))
+        .to_compact_string();
+    line.pop(); // the object's closing brace
+    line.push_str(",\"document\":");
+    line.push_str(document);
+    line.push('}');
+    line
 }
 
 fn error_reply(message: impl Into<String>) -> Json {
@@ -447,23 +474,21 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
             Ok(id) => {
                 let jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
                 let response = match jobs.iter().find(|j| j.id == id) {
-                    Some(job) if job.status == JobStatus::Done => Json::object()
-                        .with("ok", Json::Bool(true))
-                        .with("id", Json::from(id as usize))
-                        .with(
-                            "outcome",
-                            Json::str(job.outcome.as_deref().unwrap_or("unknown")),
-                        )
-                        .with("result_ok", Json::Bool(job.ok))
-                        .with("document", job.document.clone().unwrap_or(Json::Null)),
+                    Some(job) if job.status == JobStatus::Done => result_reply(
+                        id,
+                        job.outcome.as_deref().unwrap_or("unknown"),
+                        job.ok,
+                        job.document.as_deref().unwrap_or("null"),
+                    ),
                     Some(job) => error_reply(format!(
                         "job {id} is not finished (status: {})",
                         job.status.as_str()
-                    )),
-                    None => error_reply(format!("no such job: {id}")),
+                    ))
+                    .to_compact_string(),
+                    None => error_reply(format!("no such job: {id}")).to_compact_string(),
                 };
                 drop(jobs);
-                reply(&mut stream, &response);
+                reply_line(&mut stream, &response);
             }
             Err(response) => reply(&mut stream, &response),
         },
@@ -669,4 +694,48 @@ pub fn serve_cli(args: &[String]) -> i32 {
     server.wait();
     println!("server stopped");
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A finished job keeps its document as compact text, and the `result`
+    /// reply splices that text in verbatim: byte for byte the reply object
+    /// rendered with the document's tree in it, nested values and all.
+    /// Re-parsing the text would not do: `-0.0` renders as `-0`, which
+    /// parses back as the integer 0.
+    #[test]
+    fn result_reply_is_the_document_trees_own_rendering() {
+        let document = Json::object()
+            .with("outcome", Json::str("solved"))
+            .with(
+                "stats",
+                Json::object()
+                    .with("drift_secs", Json::Float(-0.0))
+                    .with("ratio", Json::Float(1.5))
+                    .with("phases", Json::object().with("plans", Json::from(3usize))),
+            )
+            .with(
+                "program",
+                Json::Array(vec![
+                    Json::str("say \"hi\"\n"),
+                    Json::Null,
+                    Json::Array(vec![Json::Bool(false), Json::Int(-7)]),
+                ]),
+            );
+        let stored = document.to_compact_string();
+        let rendered = Json::object()
+            .with("ok", Json::Bool(true))
+            .with("id", Json::from(7usize))
+            .with("outcome", Json::str("solved"))
+            .with("result_ok", Json::Bool(true))
+            .with("document", document.clone())
+            .to_compact_string();
+        assert_eq!(result_reply(7, "solved", true, &stored), rendered);
+        assert!(stored.contains("\"drift_secs\":-0"), "{stored}");
+        let reparsed = Json::parse(&stored).expect("compact text parses");
+        assert_ne!(reparsed, document, "a re-parse loses the float -0.0");
+        assert_ne!(reparsed.to_compact_string(), stored);
+    }
 }
