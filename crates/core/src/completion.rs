@@ -132,8 +132,9 @@ pub struct CompletionOutcome {
 }
 
 /// Cross-cutting controls threaded into one sketch completion: the two
-/// cancellation signals and the event buffer. [`CompletionControls::none`]
-/// is the plain blocking run with no observability.
+/// cancellation signals, the event and profile buffers and the sketch's
+/// prefix cache. [`CompletionControls::none`] is the plain blocking run
+/// with no observability and a completion-local cache.
 #[derive(Default)]
 pub struct CompletionControls<'a> {
     /// Speculation-cancellation poll from the parallel correspondence
@@ -156,6 +157,14 @@ pub struct CompletionControls<'a> {
     /// the synthesizer absorbs winning buffers in enumeration order, so
     /// losing speculative completions never contaminate the breakdown.
     pub profile: Option<&'a mut CheckProfile>,
+    /// The sketch's [`PrefixCache`], for a caller that keeps it past the
+    /// completion; `None` runs through a completion-local cache. Like any
+    /// shared cache it must be new or belong to the same oracle and target
+    /// schema. After an accepted candidate it remembers every (plan, length)
+    /// pair the completion's verification check walked to exhaustion, so a
+    /// re-check of that candidate under the verification configuration
+    /// walks nothing.
+    pub cache: Option<&'a mut PrefixCache>,
 }
 
 impl std::fmt::Debug for CompletionControls<'_> {
@@ -166,6 +175,7 @@ impl std::fmt::Debug for CompletionControls<'_> {
             .field("index", &self.index)
             .field("events", &self.events.is_some())
             .field("profile", &self.profile.is_some())
+            .field("cache", &self.cache.is_some())
             .finish()
     }
 }
@@ -192,6 +202,10 @@ impl<'a> CompletionControls<'a> {
 /// of every check in the completion loop: each candidate is checked against
 /// the same source, through one `PrefixCache` per sketch, which compiles
 /// the source's plans once and executes its shortest update prefixes once.
+/// The cache is [`CompletionControls::cache`] when the caller supplies one
+/// (the synthesizer does, and re-checks the accepted program through it),
+/// and a completion-local one otherwise; the outcome, statistics and events
+/// are the same either way.
 ///
 /// `testing` is used to search for minimum failing inputs; `verification`
 /// is the deeper final check a candidate must pass before being returned.
@@ -224,7 +238,8 @@ pub fn complete_sketch(
     // Executed update-prefix states shared across every bounded check of
     // this sketch — candidates mostly differ in one hole, so most prefixes
     // carry over unchanged from check to check.
-    let mut cache = PrefixCache::new();
+    let mut local = PrefixCache::new();
+    let cache = controls.cache.take().unwrap_or(&mut local);
     // A speculative model adopted from the previous iteration's probe,
     // consumed instead of a fresh solver call.
     let mut pending_model: Option<Model> = None;
@@ -335,7 +350,7 @@ pub fn complete_sketch(
 
         let token = controls.token;
         let profile = controls.profile.as_deref_mut();
-        let testing_cache = &mut cache;
+        let testing_cache = &mut *cache;
         let (test_outcome, speculation) = parpool::join(
             || {
                 check_candidate_cached(
@@ -418,7 +433,7 @@ pub fn complete_sketch(
                     verification,
                     controls.token,
                     controls.profile.as_deref_mut(),
-                    Some(&mut cache),
+                    Some(&mut *cache),
                 ) {
                     CheckOutcome::Cancelled { sequences_tested } => {
                         stats.sequences_tested += sequences_tested;
@@ -644,6 +659,111 @@ mod tests {
         }
         assert!(outcome.stats.iterations >= 1);
         assert!(outcome.stats.search_space > 1);
+    }
+
+    /// Completes the motivating example's first sketch as the synthesizer
+    /// does — depth-2 testing, depth-3 verification — through `cache`,
+    /// returning the outcome and the recorded events.
+    fn complete_motivating(
+        oracle: &SourceOracle<'_>,
+        target_schema: &Schema,
+        cache: Option<&mut PrefixCache>,
+    ) -> (CompletionOutcome, Vec<SynthesisEvent>) {
+        let program = oracle.program();
+        let mut vc = VcEnumerator::new(
+            program,
+            oracle.schema(),
+            target_schema,
+            &VcConfig::default(),
+        );
+        let phi = vc.next_correspondence().unwrap();
+        let sketch =
+            generate_sketch(program, &phi, target_schema, &SketchGenConfig::default()).unwrap();
+        let mut events = Vec::new();
+        let outcome = complete_sketch(
+            &sketch,
+            oracle,
+            target_schema,
+            &TestConfig::default(),
+            &TestConfig::thorough(),
+            BlockingStrategy::MinimumFailingInput,
+            0,
+            CompletionControls {
+                events: Some(&mut events),
+                cache,
+                ..CompletionControls::none()
+            },
+        );
+        (outcome, events)
+    }
+
+    /// A cache the caller supplies changes nothing the completion reports:
+    /// the same program, statistics and events as through the completion's
+    /// own cache.
+    #[test]
+    fn a_caller_supplied_cache_changes_nothing_reported() {
+        let (source_schema, target_schema, program) = motivating();
+        let oracle = SourceOracle::new(&program, &source_schema);
+        let (own, own_events) = complete_motivating(&oracle, &target_schema, None);
+        let mut cache = PrefixCache::new();
+        let (supplied, supplied_events) =
+            complete_motivating(&oracle, &target_schema, Some(&mut cache));
+        assert!(own.program.is_some());
+        assert_eq!(own, supplied);
+        assert_eq!(own_events, supplied_events);
+        assert!(cache.cached_states() > 0, "the completion filled the cache");
+    }
+
+    /// The accepted candidate's verification check through the sketch's
+    /// cache answers every (plan, length) pair from the verdicts the
+    /// completion's own verification remembered: the same outcome and
+    /// count as a fresh check, with no plan compiled, no state resolved, no
+    /// update journaled, no snapshot taken and no source query evaluated.
+    #[test]
+    fn rechecking_the_accepted_candidate_through_its_cache_walks_nothing() {
+        let (source_schema, target_schema, program) = motivating();
+        let oracle = SourceOracle::new(&program, &source_schema);
+        let mut cache = PrefixCache::new();
+        let (outcome, _) = complete_motivating(&oracle, &target_schema, Some(&mut cache));
+        let candidate = outcome.program.expect("an equivalent completion exists");
+        let verification = TestConfig::thorough();
+
+        let mut fresh_profile = CheckProfile::default();
+        let fresh = check_candidate_cached(
+            &oracle,
+            &candidate,
+            &target_schema,
+            &verification,
+            None,
+            Some(&mut fresh_profile),
+            None,
+        );
+        assert!(fresh.is_equivalent() && !fresh.is_truncated(), "{fresh:?}");
+        assert!(fresh_profile.plans_compiled > 0 && fresh_profile.undo_frames > 0);
+
+        let computes = oracle.computes();
+        let mut profile = CheckProfile::default();
+        let cached = check_candidate_cached(
+            &oracle,
+            &candidate,
+            &target_schema,
+            &verification,
+            None,
+            Some(&mut profile),
+            Some(&mut cache),
+        );
+        assert_eq!(cached, fresh);
+        assert_eq!(
+            (
+                profile.plans_compiled,
+                profile.undo_frames,
+                profile.snapshots_taken,
+                profile.prefix_cache_hits,
+            ),
+            (0, 0, 0, 0),
+            "{profile:?}"
+        );
+        assert_eq!(oracle.computes(), computes, "no source query evaluated");
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub struct SynthesisStats {
     /// (Table 1, "Synth Time").
     pub synthesis_time: Duration,
     /// Time spent in the final verification pass (included in Table 1's
-    /// "Total Time" but not in "Synth Time").
+    /// "Total Time" but not in "Synth Time"). The pass runs through the
+    /// winning sketch's prefix cache, whose remembered verdicts answer it,
+    /// so this times a lookup: the depth-3 walk it stands for is inside
+    /// the completion's time.
     pub verification_time: Duration,
     /// Where the time and allocation went, phase by phase.
     pub phases: PhaseBreakdown,

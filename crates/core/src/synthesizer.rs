@@ -11,10 +11,10 @@ use std::time::{Duration, Instant};
 
 use dbir::{Program, Schema};
 
-use dbir::equiv::{CheckProfile, SourceOracle};
+use dbir::equiv::{CheckProfile, PrefixCache, SourceOracle};
 use parpool::{CancelReason, CancelToken};
 
-use crate::completion::{complete_sketch, BlockingStrategy, CompletionControls};
+use crate::completion::{complete_sketch, BlockingStrategy, CompletionControls, CompletionOutcome};
 use crate::config::{SketchSolverKind, SynthesisConfig};
 use crate::observe::{SynthesisEvent, SynthesisObserver};
 use crate::sketch_gen::generate_sketch;
@@ -236,15 +236,18 @@ impl Synthesizer {
         // Generates the sketch for one correspondence and completes it,
         // buffering the completion's events. Self-contained per
         // correspondence (own SAT solver, own blocking clauses, own event
-        // buffer), so running it on a worker thread yields the same outcome,
-        // statistics and events as running it inline.
+        // buffer, own prefix cache), so running it on a worker thread yields
+        // the same outcome, statistics and events as running it inline. The
+        // sketch's prefix cache comes back only with a found program, for
+        // the final check; every other attempt drops it where it ran.
         let attempt = |index: usize,
                        phi: &ValueCorrespondence,
                        cancel: Option<&(dyn Fn() -> bool + Sync)>|
          -> (
-            Option<crate::completion::CompletionOutcome>,
+            Option<CompletionOutcome>,
             Vec<SynthesisEvent>,
             AttemptProfile,
+            Option<PrefixCache>,
         ) {
             let mut events = Vec::new();
             let mut profile = AttemptProfile::default();
@@ -252,7 +255,7 @@ impl Synthesizer {
             let sketch = generate_sketch(source, phi, target_schema, &self.config.sketch);
             profile.sketch_generation = generation_start.elapsed();
             let Some(sketch) = sketch else {
-                return (None, events, profile);
+                return (None, events, profile, None);
             };
             events.push(SynthesisEvent::SketchGenerated {
                 index,
@@ -260,6 +263,7 @@ impl Synthesizer {
                 completions: sketch.completion_count(),
             });
             let completion_start = Instant::now();
+            let mut cache = PrefixCache::new();
             let outcome = complete_sketch(
                 &sketch,
                 &oracle,
@@ -274,10 +278,12 @@ impl Synthesizer {
                     index,
                     events: Some(&mut events),
                     profile: Some(&mut profile.check),
+                    cache: Some(&mut cache),
                 },
             );
+            let cache = outcome.program.is_some().then_some(cache);
             profile.completion = completion_start.elapsed();
-            (Some(outcome), events, profile)
+            (Some(outcome), events, profile, cache)
         };
 
         let speculation_cap = parpool::thread_limit().max(1).saturating_mul(2);
@@ -340,7 +346,7 @@ impl Synthesizer {
                 },
                 // A success stops the fan-out; so does a token interruption
                 // (everything after it is moot).
-                |(outcome, _, _)| {
+                |(outcome, ..)| {
                     outcome
                         .as_ref()
                         .is_some_and(|o| o.program.is_some() || o.interrupted)
@@ -353,14 +359,14 @@ impl Synthesizer {
             let mut defensive_replay = false;
             for (i, phi) in phis.iter().enumerate() {
                 let index = base + i;
-                let (outcome, events, profile) = if defensive_replay {
+                let (outcome, events, profile, mut cache) = if defensive_replay {
                     // A verified-then-rejected winner (see below) invalidated
                     // the speculative results; recompute this correspondence
                     // inline. Deterministic, so the trajectory is preserved.
                     attempt(index, phi, None)
                 } else {
                     match results.next() {
-                        Some(Some(triple)) => triple,
+                        Some(Some(result)) => result,
                         Some(None) | None => break, // skipped: after the winner
                     }
                 };
@@ -407,6 +413,11 @@ impl Synthesizer {
                     stats.synthesis_time = synthesis_start.elapsed();
                     // Final verification pass, timed separately (the stand-in
                     // for the Mediator equivalence proof; see `crate::verify`).
+                    // It runs through the winning sketch's cache, which
+                    // remembers every (plan, length) pair the completion's
+                    // own verification of this candidate walked to
+                    // exhaustion: the pass walks none of them again, and
+                    // counts their sequences as a fresh walk would.
                     let verification_start = Instant::now();
                     let mut final_profile = CheckProfile::default();
                     let verified = check_candidate_cached(
@@ -416,7 +427,7 @@ impl Synthesizer {
                         &self.config.verification,
                         Some(token),
                         Some(&mut final_profile),
-                        None,
+                        cache.as_mut(),
                     );
                     stats.verification_time = verification_start.elapsed();
                     stats.phases.checks.merge(&final_profile);
@@ -435,10 +446,10 @@ impl Synthesizer {
                             };
                         }
                         CheckOutcome::Cancelled { sequences_tested } => {
-                            // The token fired during this *redundant* final
-                            // pass. The completion already verified the
-                            // exact same candidate against the same oracle
-                            // and configuration, so the program is kept: a
+                            // The token fired before this final pass ended.
+                            // The completion already verified the exact same
+                            // candidate against the same oracle and
+                            // configuration, so the program is kept: a
                             // verified program in hand beats reporting
                             // `Timeout` with nothing.
                             stats.sequences_tested += sequences_tested;
@@ -534,8 +545,9 @@ mod tests {
         assert!(report.equivalent);
     }
 
-    #[test]
-    fn synthesizes_the_motivating_example() {
+    /// The paper's motivating example (Figure 2): source schema, target
+    /// schema and source program.
+    fn motivating_example() -> (Schema, Schema, Program) {
         let source_schema = Schema::parse(
             "Class(ClassId: int, InstId: int, TaId: int)\n\
              Instructor(InstId: int, IName: string, IPic: binary)\n\
@@ -567,7 +579,12 @@ mod tests {
             &source_schema,
         )
         .unwrap();
+        (source_schema, target_schema, source)
+    }
 
+    #[test]
+    fn synthesizes_the_motivating_example() {
+        let (source_schema, target_schema, source) = motivating_example();
         let synthesizer = Synthesizer::new(SynthesisConfig::standard());
         let result = synthesizer.synthesize(&source, &source_schema, &target_schema);
         let program = result.program.expect("the motivating example synthesizes");
@@ -587,9 +604,12 @@ mod tests {
     }
 
     /// The speculative correspondence fan-out must leave the deterministic
-    /// statistics byte-identical at any thread budget. This scenario fails
-    /// synthesis, so every correspondence in the budget is explored — the
-    /// worst case for speculation to get ordering wrong.
+    /// statistics byte-identical at any thread budget. The first scenario
+    /// fails synthesis, so every correspondence in the budget is explored —
+    /// the worst case for speculation to get ordering wrong. The second,
+    /// the motivating example, solves, so it also reaches the final
+    /// verification, which runs through the cache of whichever worker
+    /// completed the winning sketch.
     #[test]
     fn thread_budget_does_not_change_the_trajectory() {
         let source_schema = Schema::parse("T(a: int, b: string)").unwrap();
@@ -605,16 +625,85 @@ mod tests {
         )
         .unwrap();
         let synthesizer = Synthesizer::new(SynthesisConfig::standard());
-        let run = |threads: usize| {
+        let run = |source: &Program, source_schema: &Schema, target_schema: &Schema, threads| {
             parpool::set_thread_limit(threads);
-            let result = synthesizer.synthesize(&source, &source_schema, &target_schema);
+            let result = synthesizer.synthesize(source, source_schema, target_schema);
             parpool::set_thread_limit(0);
             result
         };
-        let single = run(1);
-        let multi = run(4);
+        let single = run(&source, &source_schema, &target_schema, 1);
+        let multi = run(&source, &source_schema, &target_schema, 4);
         assert!(!single.succeeded());
         assert_eq!(counters(&single.stats), counters(&multi.stats));
+
+        let (source_schema, target_schema, source) = motivating_example();
+        let single = run(&source, &source_schema, &target_schema, 1);
+        let multi = run(&source, &source_schema, &target_schema, 4);
+        assert_eq!(single.outcome, SynthesisOutcome::Solved);
+        assert_eq!(single.program, multi.program);
+        assert_eq!(counters(&single.stats), counters(&multi.stats));
+    }
+
+    /// A solving run's final verification walks nothing: the run's check
+    /// counters are exactly those of its winning completion, and its
+    /// sequence count adds what a fresh depth-3 check of the program counts.
+    #[test]
+    fn the_final_check_of_a_solved_run_walks_nothing() {
+        let (source_schema, target_schema, source) = motivating_example();
+        let config = SynthesisConfig::standard();
+        let result =
+            Synthesizer::new(config.clone()).synthesize(&source, &source_schema, &target_schema);
+        assert_eq!(result.outcome, SynthesisOutcome::Solved);
+        assert_eq!(result.stats.value_correspondences, 1);
+
+        let phi = VcEnumerator::new(&source, &source_schema, &target_schema, &config.vc)
+            .next_correspondence()
+            .expect("a first correspondence");
+        let sketch = generate_sketch(&source, &phi, &target_schema, &config.sketch)
+            .expect("a sketch for it");
+        let oracle = SourceOracle::new(&source, &source_schema);
+        let mut completion = CheckProfile::default();
+        let outcome = complete_sketch(
+            &sketch,
+            &oracle,
+            &target_schema,
+            &config.testing,
+            &config.verification,
+            BlockingStrategy::MinimumFailingInput,
+            config.max_iterations_per_sketch,
+            CompletionControls {
+                profile: Some(&mut completion),
+                ..CompletionControls::none()
+            },
+        );
+        assert_eq!(outcome.program, result.program);
+        let walked = |p: &CheckProfile| {
+            (
+                p.plans_compiled,
+                p.prefix_cache_hits,
+                p.undo_frames,
+                p.undo_ops_rolled_back,
+                p.snapshots_taken,
+                p.snapshot_bytes_copied,
+            )
+        };
+        assert_eq!(walked(&result.stats.phases.checks), walked(&completion));
+
+        let program = result.program.as_ref().expect("solved");
+        let fresh = check_candidate_cached(
+            &oracle,
+            program,
+            &target_schema,
+            &config.verification,
+            None,
+            None,
+            None,
+        );
+        assert!(fresh.is_equivalent());
+        assert_eq!(
+            result.stats.sequences_tested,
+            outcome.stats.sequences_tested + fresh.sequences_tested()
+        );
     }
 
     /// `stats` with its wall-clock times zeroed: every counter the thread

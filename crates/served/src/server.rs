@@ -83,9 +83,15 @@ impl JobStatus {
 }
 
 /// One submitted job: its spec, lifecycle state and event stream.
+///
+/// A finished job keeps only what `status`, `list`, `result` and `watch`
+/// read: its outcome, its document and its stream. Its spec leaves the
+/// record when the job starts (or is retired unstarted), so no finished
+/// job holds its DDL or program text.
 struct JobRecord {
     id: u64,
-    spec: JobSpec,
+    /// The job's inputs while it is queued; taken by the runner at start.
+    spec: Option<JobSpec>,
     status: JobStatus,
     /// Final outcome kind once done (`solved`, `no_solution`, `timeout`,
     /// `cancelled`, `error`).
@@ -93,9 +99,10 @@ struct JobRecord {
     /// Whether the job solved *and* validated.
     ok: bool,
     /// The job's single result document once done, rendered compactly
-    /// once: a finished job keeps text, not the document's tree, and every
-    /// `result` reply splices it in verbatim.
-    document: Option<String>,
+    /// once and stored at its exact length: a finished job keeps text, not
+    /// the document's tree, and every `result` reply splices it in
+    /// verbatim.
+    document: Option<Box<str>>,
     /// Fan-out of the job's NDJSON stream to watchers.
     bus: Arc<LineBus>,
     /// The writer producing that stream (kept to seal it exactly once).
@@ -247,10 +254,15 @@ fn accept_loop(
             Ok((stream, _peer)) => {
                 let state = Arc::clone(state);
                 let handle = std::thread::spawn(move || handle_connection(stream, &state));
-                handlers
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(handle);
+                let mut handlers = handlers.lock().unwrap_or_else(|e| e.into_inner());
+                // Join the handlers that have returned: an exited thread
+                // keeps its stack mapped until it is joined, so holding
+                // every handle until shutdown grew the server with each
+                // request it served.
+                for finished in handlers.extract_if(.., |h| h.is_finished()) {
+                    let _ = finished.join();
+                }
+                handlers.push(handle);
             }
             Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL);
@@ -275,6 +287,7 @@ fn scheduler_loop(state: &Arc<ServerState>) {
             for job in jobs.iter_mut() {
                 if job.status == JobStatus::Queued {
                     job.status = JobStatus::Done;
+                    job.spec = None;
                     job.outcome = Some("cancelled".to_string());
                     job.ok = false;
                     job.document = Some(
@@ -284,7 +297,8 @@ fn scheduler_loop(state: &Arc<ServerState>) {
                                 "error",
                                 Json::str("job cancelled before it started (server shutdown)"),
                             )
-                            .to_compact_string(),
+                            .to_compact_string()
+                            .into(),
                     );
                     job.writer.finish("cancelled");
                     job.bus.close();
@@ -318,14 +332,14 @@ fn scheduler_loop(state: &Arc<ServerState>) {
                 job.status = JobStatus::Running;
                 state.running.fetch_add(1, Ordering::SeqCst);
                 let id = job.id;
-                let spec = job.spec.clone();
+                let spec = job.spec.take().expect("a queued job holds its spec");
                 let cancel = job.cancel.clone();
                 let writer = Arc::clone(&job.writer);
                 let bus = Arc::clone(&job.bus);
                 drop(jobs);
                 let runner_state = Arc::clone(state);
                 std::thread::spawn(move || {
-                    run_one(&runner_state, id, &spec, cancel, &writer, &bus, reservation);
+                    run_one(&runner_state, id, spec, cancel, &writer, &bus, reservation);
                 });
                 continue;
             }
@@ -346,14 +360,14 @@ fn scheduler_loop(state: &Arc<ServerState>) {
 fn run_one(
     state: &Arc<ServerState>,
     id: u64,
-    spec: &JobSpec,
+    spec: JobSpec,
     cancel: CancelToken,
     writer: &Arc<NdjsonWriter>,
     bus: &Arc<LineBus>,
     reservation: BudgetReservation,
 ) {
     let report = run_job(
-        spec,
+        &spec,
         cancel,
         Some(Arc::new(MainChannelOnly(Arc::clone(writer)))),
         Some(Arc::clone(writer) as Arc<dyn pipeline::PipelineObserver>),
@@ -366,7 +380,8 @@ fn run_one(
         job.status = JobStatus::Done;
         job.outcome = Some(report.outcome.clone());
         job.ok = report.ok;
-        job.document = Some(report.document.to_compact_string());
+        // `into` drops the spare capacity the rendering grew by doubling.
+        job.document = Some(report.document.to_compact_string().into());
     }
     writer.finish(&report.outcome);
     bus.close();
@@ -602,7 +617,7 @@ fn handle_submit(state: &Arc<ServerState>, request: &Json) -> Json {
     let id = jobs.iter().map(|j| j.id).max().unwrap_or(0) + 1;
     jobs.push(JobRecord {
         id,
-        spec,
+        spec: Some(spec),
         status: JobStatus::Queued,
         outcome: None,
         ok: false,
@@ -699,6 +714,86 @@ pub fn serve_cli(args: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One request line to the server at `addr` and its raw reply line.
+    fn raw_request(addr: SocketAddr, request: &Json) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        writeln!(stream, "{}", request.to_compact_string()).expect("send request");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("read reply");
+        line
+    }
+
+    /// A finished job's record keeps its outcome, its exact-size document
+    /// and its stream, but not its spec; and every `result` fetch replies
+    /// with the same bytes.
+    #[test]
+    fn a_finished_job_keeps_no_spec_and_replies_the_same_result() {
+        let server = Server::start(ServerConfig::default()).expect("server starts");
+        let addr = server.addr();
+        let spec = JobSpec::new(
+            "CREATE TABLE Users (uid INTEGER PRIMARY KEY, nick TEXT);",
+            "CREATE TABLE Users (uid INTEGER PRIMARY KEY, handle TEXT);",
+            "update addUser(uid: int, nick: string)
+                 INSERT INTO Users VALUES (uid: uid, nick: nick);
+             query getUser(uid: int)
+                 SELECT nick FROM Users WHERE uid = uid;",
+        );
+        let address = addr.to_string();
+        let id = crate::submit(&address, &spec).expect("submit");
+        let done = crate::wait_done(&address, id).expect("job finishes");
+        assert_eq!(done.get("outcome").and_then(Json::as_str), Some("solved"));
+        {
+            let jobs = server.state.jobs.lock().unwrap();
+            let job = jobs.iter().find(|j| j.id == id).expect("job listed");
+            assert_eq!(job.status, JobStatus::Done);
+            assert!(job.spec.is_none(), "a finished job keeps no spec");
+            assert!(job
+                .document
+                .as_deref()
+                .is_some_and(|d| d.contains("\"solved\"")));
+        }
+        let fetch = Json::object()
+            .with("cmd", Json::str("result"))
+            .with("id", Json::from(id as usize));
+        let first = raw_request(addr, &fetch);
+        let second = raw_request(addr, &fetch);
+        assert!(first.starts_with("{\"ok\":true,"), "{first}");
+        assert_eq!(first, second);
+        server.shutdown(ShutdownMode::Drain);
+        server.wait();
+    }
+
+    /// The accept loop joins the connection handlers that have returned,
+    /// so a server holds the handles of its live connections only, not one
+    /// per request it ever served.
+    #[test]
+    fn finished_connection_handlers_are_joined() {
+        let server = Server::start(ServerConfig::default()).expect("server starts");
+        let list = Json::object().with("cmd", Json::str("list"));
+        for _ in 0..30 {
+            assert!(raw_request(server.addr(), &list).starts_with("{\"ok\":true"));
+        }
+        // Every handler pushed so far has returned once it is finished.
+        while !server
+            .handlers
+            .lock()
+            .unwrap()
+            .iter()
+            .all(JoinHandle::is_finished)
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        raw_request(server.addr(), &list);
+        // The last request's handler, and at most the one before it if it
+        // was pushed after the wait above.
+        let live = server.handlers.lock().unwrap().len();
+        assert!(live <= 2, "{live} handles held after 31 requests");
+        server.shutdown(ShutdownMode::Drain);
+        server.wait();
+    }
 
     /// A finished job keeps its document as compact text, and the `result`
     /// reply splices that text in verbatim: byte for byte the reply object
