@@ -24,9 +24,12 @@
 //!   bumps per-table `Arc`s, and only the first mutation of a shared table
 //!   pays a physical copy. Sequences are still enumerated depth-by-depth
 //!   (iterative deepening), so the first counterexample remains a minimum
-//!   failing input. Prefixes on which *both* programs have already failed
-//!   are counted arithmetically and never descended — every sequence
-//!   through them trivially agrees.
+//!   failing input. An update call that changes neither program's state
+//!   is not descended below: every sequence through it repeats one with
+//!   one update call fewer, which the previous depth has already seen
+//!   agree, so its subtree is counted arithmetically. Prefixes on which
+//!   both programs have already failed are the simplest case — no call
+//!   changes a failed state.
 //! * [`compare_programs_naive`] — the original odometer that materializes and
 //!   replays every sequence from scratch. It is retained as an executable
 //!   reference semantics: a differential property test asserts the two
@@ -616,10 +619,19 @@ pub fn reset_snapshot_peak() {
 /// live snapshot (instance plus the evaluator's fresh-identifier counter) or
 /// the error the prefix failed with. A failed prefix stays failed for every
 /// extension, mirroring how a straight-line replay stops at the first error.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum ExecState {
     Live(Instance, u64),
     Failed(Error),
+}
+
+/// One side's state after an update prefix, as [`PrefixCache`] keeps it:
+/// the state, and whether the prefix's last call changed it. A call that
+/// changed nothing shares its parent's state.
+#[derive(Debug, Clone)]
+struct Resolved {
+    state: Arc<ExecState>,
+    changed: bool,
 }
 
 /// Longest update-prefix length kept by [`PrefixCache`]. Level-1 and
@@ -650,7 +662,11 @@ const PREFIX_CACHE_CAPACITY: usize = 1 << 17;
 /// * the executed states of prefixes whose calls *and* function bodies it
 ///   has seen before — typically the entire source side after the first
 ///   candidate, plus every target prefix not touching a changed hole —
-///   instead of re-running them from the empty instance;
+///   instead of re-running them from the empty instance. Each state
+///   records whether the prefix's last call changed that side; one that
+///   did not shares its parent's state, and a prefix whose last call
+///   changed neither side is counted, not walked (see
+///   [`compare_with_oracle`]);
 /// * the verdict of every (query plan, length) pair an earlier check walked
 ///   to exhaustion, keyed by the plan's call list and the target body of
 ///   each function the plan calls. Nothing else enters that walk — the
@@ -702,8 +718,8 @@ pub struct PrefixCache {
     /// Compiled update and query plans.
     compiled: CompiledPlans,
     /// Prefix key → the state after executing that prefix from the empty
-    /// instance.
-    states: HashMap<PrefixKey, Arc<ExecState>, FnvBuild>,
+    /// instance, and whether its last call changed that side.
+    states: HashMap<PrefixKey, Resolved, FnvBuild>,
     hits: u64,
 }
 
@@ -1099,16 +1115,16 @@ impl PrefixCache {
 
     /// The cached state for `key`, computing (and, capacity permitting,
     /// caching) it on a miss.
-    fn resolve(&mut self, key: PrefixKey, compute: impl FnOnce() -> ExecState) -> Arc<ExecState> {
-        if let Some(state) = self.states.get(&key) {
+    fn resolve(&mut self, key: PrefixKey, compute: impl FnOnce() -> Resolved) -> Resolved {
+        if let Some(resolved) = self.states.get(&key) {
             self.hits += 1;
-            return Arc::clone(state);
+            return resolved.clone();
         }
-        let state = Arc::new(compute());
+        let resolved = compute();
         if self.states.len() < PREFIX_CACHE_CAPACITY {
-            self.states.insert(key, Arc::clone(&state));
+            self.states.insert(key, resolved.clone());
         }
-        state
+        resolved
     }
 }
 
@@ -1235,6 +1251,18 @@ fn prepare_query(program: &Program, schema: &Schema, call: &Call) -> PreparedQue
 /// walk would have: the walk of a (plan, length) pair is a function of the
 /// pair's calls and function bodies alone, and only walks that found no
 /// counterexample, hit no budget and were not cancelled are remembered.
+///
+/// Inside a walk, an update call that changes neither side's state — it
+/// journals no mutation, mints no identifier and sets no failure, like a
+/// delete that finds no rows — is counted the same way, with its subtree.
+/// Fix a plan `P` and a length `ℓ`. If the call `u` after a prefix `p`
+/// changes neither side, every sequence `p·u·s·q` observes on both sides
+/// exactly what `p·s·q` observes, a sequence of `P` with `ℓ - 1` update
+/// calls. The check reaches `(P, ℓ)` only after `(P, ℓ - 1)` came back
+/// exhausted, walked or remembered, so every skipped sequence agrees: the
+/// first counterexample in enumeration order, `sequences_tested`,
+/// `bound_exhausted` and the remembered verdicts are what a walk of every
+/// sequence would give.
 pub fn compare_with_oracle(
     oracle: &SourceOracle<'_>,
     target: &Program,
@@ -1373,13 +1401,15 @@ pub fn compare_with_oracle(
 const PARALLEL_LEAF_THRESHOLD: u128 = 4096;
 
 /// One resolved root of a (plan, length) subtree: the update-call path to
-/// it (the first `len` entries of `path`) and both sides' states after that
-/// path.
+/// it (the first `len` entries of `path`), both sides' states after that
+/// path, and whether its last call changed neither side — such a root is
+/// counted, not walked or expanded.
 struct Root {
     path: [usize; PREFIX_CACHE_DEPTH],
     len: usize,
     src: Arc<ExecState>,
     tgt: Arc<ExecState>,
+    unchanged: bool,
 }
 
 /// Searches one (plan, length) subtree, in parallel when profitable.
@@ -1391,6 +1421,9 @@ struct Root {
 /// earlier depth of this one) or computed once and published. Candidates
 /// that differ only in later update-function bodies — the common case in
 /// CEGIS, where one hole flips per iteration — hit on every shared prefix.
+/// A prefix whose last call changed neither side is not expanded: it
+/// becomes a root that is counted in its place in the order, as the walk
+/// counts such a call's subtree (see [`compare_with_oracle`]).
 ///
 /// All cache access happens here, on the calling thread, at a sequential
 /// point *before* any parallel split; the walks below the resolved roots
@@ -1431,10 +1464,15 @@ fn search_plan(
         len: 0,
         src: Arc::new(ExecState::Live(Instance::empty(source_schema), 0)),
         tgt: Arc::new(ExecState::Live(Instance::empty(target_schema), 0)),
+        unchanged: false,
     }];
     for _ in 0..base {
         let mut next = Vec::with_capacity(roots.len() * fanout);
-        for root in &roots {
+        for root in roots {
+            if root.unchanged {
+                next.push(root);
+                continue;
+            }
             for i in 0..fanout {
                 let mut path = root.path;
                 path[root.len] = i;
@@ -1450,8 +1488,9 @@ fn search_plan(
                 next.push(Root {
                     path,
                     len: root.len + 1,
-                    src,
-                    tgt,
+                    src: src.state,
+                    tgt: tgt.state,
+                    unchanged: !src.changed && !tgt.changed,
                 });
             }
         }
@@ -1461,13 +1500,18 @@ fn search_plan(
     snap.absorb(&resolve_snap);
 
     // Walks the `length - base` levels below one root, counting into
-    // `counter`, and hands back the walk's own accounting.
+    // `counter`, and hands back the walk's own accounting. An unchanged
+    // root's sequences are counted instead.
     let blank = snap.fresh();
     let walk_root = |root: &Root,
                      cap: Option<usize>,
                      counter: &mut usize,
                      cancel: Option<(&StopCtx, usize)>|
      -> (Search, SnapStats) {
+        if root.unchanged {
+            let sequences = plan.sequences(length - root.len);
+            return (count_agreed(sequences, cap, counter), blank);
+        }
         let mut path = Vec::with_capacity(length);
         path.extend_from_slice(&root.path[..root.len]);
         let mut dfs = Dfs {
@@ -1630,6 +1674,17 @@ struct Frame {
     set_failure: bool,
 }
 
+impl Frame {
+    /// Whether the call this frame records changed `state`, its side: it
+    /// journaled a mutation, moved the uid counter or set the failure. A
+    /// frame with no journal entry left the instance as it was, because
+    /// every mutation is journaled (see [`Journal`]); one whose entries
+    /// happen to write back the same rows still counts as a change.
+    fn changed(&self, state: &WorkState<'_>) -> bool {
+        self.set_failure || state.uid != self.prev_uid || state.journal.mark() != self.mark
+    }
+}
+
 /// Depth-first walker over the update-call tree of one query plan.
 struct Dfs<'a> {
     plan: &'a InternedPlan,
@@ -1693,6 +1748,9 @@ impl Dfs<'_> {
     /// Updates execute in place; every child edge is reverted before the
     /// loop advances **or** a non-exhausted result propagates, so the
     /// working states are back at this node's state on every exit path.
+    /// A child whose call changed neither side is counted, not walked (see
+    /// [`compare_with_oracle`]); below a node where both sides have failed,
+    /// every call is such a call.
     fn walk(&mut self, depth: usize) -> Search {
         if self.cancelled() {
             return Search::Aborted;
@@ -1703,18 +1761,19 @@ impl Dfs<'_> {
         if depth == 0 {
             return self.leaves();
         }
-        if self.src.failed.is_some() && self.tgt.failed.is_some() {
-            // Every sequence through this node fails on both sides and
-            // therefore agrees: account for the subtree without walking it.
-            return self.skip_agreed_subtree(depth);
-        }
         let (plan, target) = (self.plan, self.target);
         for i in 0..plan.calls.update_calls.len() {
             let src_frame = apply_in_place(&plan.src_updates[i], &mut self.src, &mut self.snap);
             let tgt_frame = apply_in_place(&target.updates[i], &mut self.tgt, &mut self.snap);
-            self.path.push(i);
-            let result = self.walk(depth - 1);
-            self.path.pop();
+            let result = if src_frame.changed(&self.src) || tgt_frame.changed(&self.tgt) {
+                self.path.push(i);
+                let result = self.walk(depth - 1);
+                self.path.pop();
+                result
+            } else {
+                let sequences = plan.sequences(depth - 1);
+                count_agreed(sequences, self.cap, self.sequences_tested)
+            };
             revert_frame(tgt_frame, &mut self.tgt, &mut self.snap);
             revert_frame(src_frame, &mut self.src, &mut self.snap);
             if !matches!(result, Search::Exhausted) {
@@ -1755,11 +1814,6 @@ impl Dfs<'_> {
             }
         }
         Search::Exhausted
-    }
-
-    /// Accounts for a subtree whose sequences all trivially agree.
-    fn skip_agreed_subtree(&mut self, depth: usize) -> Search {
-        count_agreed(self.plan.sequences(depth), self.cap, self.sequences_tested)
     }
 }
 
@@ -1870,14 +1924,30 @@ fn revert_frame(frame: Frame, state: &mut WorkState<'_>, snap: &mut SnapStats) {
 /// clone's pointer overhead plus the copy-on-write table copies the
 /// execution triggers (tracked through a scratch journal whose undo ops are
 /// discarded — nothing here ever rolls back).
-fn apply_update(prepared: &PreparedUpdate, state: &ExecState, snap: &mut SnapStats) -> ExecState {
-    let (instance, uid) = match state {
-        ExecState::Failed(_) => return state.clone(),
+///
+/// A call that changed nothing, by the rule of [`Frame::changed`], leaves
+/// `parent` itself, flagged unchanged: the state had already failed, or the
+/// call journaled no mutation, minted no identifier and did not fail.
+fn apply_update(
+    prepared: &PreparedUpdate,
+    parent: &Arc<ExecState>,
+    snap: &mut SnapStats,
+) -> Resolved {
+    let unchanged = || Resolved {
+        state: Arc::clone(parent),
+        changed: false,
+    };
+    let changed = |state| Resolved {
+        state: Arc::new(state),
+        changed: true,
+    };
+    let (instance, uid) = match &**parent {
+        ExecState::Failed(_) => return unchanged(),
         ExecState::Live(instance, uid) => (instance, *uid),
     };
     let plan = match prepared {
         PreparedUpdate::Ready(plan) => plan,
-        PreparedUpdate::Failed(err) => return ExecState::Failed(err.clone()),
+        PreparedUpdate::Failed(err) => return changed(ExecState::Failed(err.clone())),
     };
     let clone_start = snap.timed.then(Instant::now);
     let mut next = instance.clone();
@@ -1894,8 +1964,9 @@ fn apply_update(prepared: &PreparedUpdate, state: &ExecState, snap: &mut SnapSta
     snap.bytes += cow_bytes;
     snap.peak = snap.peak.max(cow_peak);
     match result {
-        Ok(next_uid) => ExecState::Live(next, next_uid),
-        Err(err) => ExecState::Failed(err),
+        Ok(next_uid) if next_uid == uid && scratch.mark() == 0 => unchanged(),
+        Ok(next_uid) => changed(ExecState::Live(next, next_uid)),
+        Err(err) => changed(ExecState::Failed(err)),
     }
 }
 
@@ -2324,6 +2395,235 @@ mod tests {
 
         let (again, _, walked) = check(&reordered);
         assert_eq!((again, walked), (changed, 0));
+    }
+
+    /// A program whose delete and update find no rows from the empty
+    /// database, with one seed per type: the update calls are `a` (an
+    /// insert), `d` (a delete) and `r` (a rename), and `get(0)` is the
+    /// only query call.
+    fn quiet_program() -> Program {
+        crate::parser::parse_program(
+            "update add(id: int, newName: string)
+                 INSERT INTO User VALUES (uid: id, name: newName);
+             update remove(id: int)
+                 DELETE User FROM User WHERE uid = id;
+             update rename(id: int, newName: string)
+                 UPDATE User SET name = newName WHERE uid = id;
+             query get(id: int)
+                 SELECT name FROM User WHERE uid = id;",
+            &schema(),
+        )
+        .unwrap()
+    }
+
+    fn quiet_config() -> TestConfig {
+        TestConfig {
+            max_updates: 3,
+            int_seeds: vec![0],
+            string_seeds: vec!["A".to_string()],
+            ..TestConfig::default()
+        }
+    }
+
+    /// Calls that change neither side are counted, not walked. `d` and `r`
+    /// change nothing on an empty table, `a` always changes it, and `r`
+    /// after `a` journals its write although it writes the same name. So
+    /// the walk evaluates `get` below 1 + 1 + 3 + 7 prefixes: the empty
+    /// one; `a`; `aa`, `ad`, `ar`; and at length 3 `aa·` and `ar·` with
+    /// any last call, `ad` only with `a`. At length 3 each of the roots
+    /// `aa`, `ad` and `ar` executes its three calls on both sides: 18
+    /// journaled executions. (`d`, `r`, `ad·d` and `ad·r` are counted.)
+    #[test]
+    fn calls_that_change_neither_side_are_counted_not_walked() {
+        let (program, schema, config) = (quiet_program(), schema(), quiet_config());
+        let oracle = SourceOracle::new(&program, &schema);
+        let mut profile = CheckProfile::default();
+        let report = compare_with_oracle(
+            &oracle,
+            &program,
+            &schema,
+            &config,
+            None,
+            Some(&mut profile),
+            None,
+        );
+        let naive = compare_programs_naive(&program, &schema, &program, &schema, &config);
+        assert_eq!(report, naive);
+        assert_eq!(report.sequences_tested, 1 + 3 + 9 + 27);
+        assert_eq!(oracle.computes(), 12);
+        assert_eq!(profile.undo_frames, 18);
+    }
+
+    /// `add(id)` inserts `(id, "A")`, `mark(id)` renames it to `"B"` and
+    /// `remove(id)` deletes it; a candidate's `remove` also deletes every
+    /// row named `named`.
+    fn marking_program(named: Option<&str>) -> Program {
+        let also = named.map_or(String::new(), |name| format!(" OR name = \"{name}\""));
+        crate::parser::parse_program(
+            &format!(
+                "update add(id: int)
+                     INSERT INTO User VALUES (uid: id, name: \"A\");
+                 update mark(id: int)
+                     UPDATE User SET name = \"B\" WHERE uid = id;
+                 update remove(id: int)
+                     DELETE User FROM User WHERE uid = id{also};
+                 query get(id: int)
+                     SELECT name FROM User WHERE uid = id;"
+            ),
+            &schema(),
+        )
+        .unwrap()
+    }
+
+    /// A candidate whose `remove(1)` deletes a row where the source's
+    /// finds none: the call changes the target only, so its subtree must
+    /// be walked. Deleting rows named "A" differs after two calls, at a
+    /// root the prefix cache resolves; deleting rows named "B" differs
+    /// only after three, inside the walk below the roots.
+    #[test]
+    fn a_call_that_changes_one_side_is_walked() {
+        let (source, schema) = (marking_program(None), schema());
+        let config = TestConfig {
+            max_updates: 3,
+            ..TestConfig::default()
+        };
+        let call = |function: &str, id: i64| Call::new(function, vec![Value::Int(id)]);
+        for (named, updates) in [
+            ("A", vec![call("add", 0), call("remove", 1)]),
+            (
+                "B",
+                vec![call("add", 0), call("mark", 0), call("remove", 1)],
+            ),
+        ] {
+            let candidate = marking_program(Some(named));
+            let report = compare_programs(&source, &schema, &candidate, &schema, &config);
+            let naive = compare_programs_naive(&source, &schema, &candidate, &schema, &config);
+            assert_eq!(report, naive, "deleting rows named {named}");
+            assert_eq!(
+                report.counterexample,
+                Some(InvocationSequence::new(updates, call("get", 0)))
+            );
+        }
+    }
+
+    /// Past `PARALLEL_LEAF_THRESHOLD` the roots of a depth-3 check are
+    /// walked in parallel, unchanged ones counted among them: the reports
+    /// and profile counters are the same at thread limits 1 and 4, and
+    /// equal the naive engine's reports.
+    #[test]
+    fn counting_unchanged_calls_is_the_same_at_any_thread_count() {
+        let (source, schema) = (marking_program(None), schema());
+        let config = TestConfig {
+            max_updates: 3,
+            int_seeds: vec![0, 1, 2, 3],
+            ..TestConfig::default()
+        };
+        for candidate in [marking_program(None), marking_program(Some("B"))] {
+            let run = |threads: usize| {
+                parpool::set_thread_limit(threads);
+                let oracle = SourceOracle::new(&source, &schema);
+                let mut profile = CheckProfile::default();
+                let report = compare_with_oracle(
+                    &oracle,
+                    &candidate,
+                    &schema,
+                    &config,
+                    None,
+                    Some(&mut profile),
+                    None,
+                );
+                let counters = CheckProfile {
+                    plan_compile_time: Duration::ZERO,
+                    dfs_time: Duration::ZERO,
+                    snapshot_time: Duration::ZERO,
+                    ..profile
+                };
+                (report, counters, oracle.computes())
+            };
+            let sequential = run(1);
+            let parallel = run(4);
+            parpool::set_thread_limit(0);
+            assert_eq!(sequential, parallel);
+            let naive = compare_programs_naive(&source, &schema, &candidate, &schema, &config);
+            assert_eq!(sequential.0, naive);
+            let (report, _, computes) = sequential;
+            if report.equivalent {
+                assert!(report.sequences_tested as u128 > PARALLEL_LEAF_THRESHOLD);
+                assert!(
+                    computes < report.sequences_tested,
+                    "some calls were counted"
+                );
+            }
+        }
+    }
+
+    /// A sequence budget that runs out among counted subtrees stops where
+    /// the naive engine's does: every cap from 0 to past the end, on an
+    /// equivalent check and on one with a counterexample.
+    #[test]
+    fn counted_subtrees_honour_every_sequence_cap() {
+        let schema = schema();
+        let marking = TestConfig {
+            max_updates: 2,
+            ..TestConfig::default()
+        };
+        for (source, target, config, end) in [
+            (quiet_program(), quiet_program(), quiet_config(), 40),
+            (
+                marking_program(None),
+                marking_program(Some("A")),
+                marking,
+                86,
+            ),
+        ] {
+            for cap in 0..=end + 1 {
+                let config = TestConfig {
+                    max_sequences: Some(cap),
+                    ..config.clone()
+                };
+                let report = compare_programs(&source, &schema, &target, &schema, &config);
+                let naive = compare_programs_naive(&source, &schema, &target, &schema, &config);
+                assert_eq!(report, naive, "cap {cap}");
+            }
+        }
+    }
+
+    /// A call changed its side if it journaled a mutation, moved the uid
+    /// counter or set the failure, and only then. No update of this
+    /// evaluator mints an identifier without journaling the row it
+    /// inserts, so the uid counter's part is checked on a hand-built
+    /// state.
+    #[test]
+    fn a_call_changed_its_side_if_it_journaled_minted_or_failed() {
+        let (program, schema) = (quiet_program(), schema());
+        let root = ExecState::Live(Instance::empty(&schema), 5);
+        let mut state = WorkState::from_snapshot(&root, &schema);
+        let untouched = Frame {
+            mark: state.journal.mark(),
+            prev_uid: state.uid,
+            set_failure: false,
+        };
+        assert!(!untouched.changed(&state));
+        state.uid += 1;
+        assert!(untouched.changed(&state), "a minted identifier");
+        state.uid -= 1;
+        let failed = Frame {
+            set_failure: true,
+            ..untouched
+        };
+        assert!(failed.changed(&state), "a new failure");
+
+        let prepared = |function: &str, args: Vec<Value>| {
+            prepare_update(&program, &schema, &Call::new(function, args))
+        };
+        let mut snap = SnapStats::default();
+        let remove = prepared("remove", vec![Value::Int(0)]);
+        let frame = apply_in_place(&remove, &mut state, &mut snap);
+        assert!(!frame.changed(&state), "a delete that finds no rows");
+        let add = prepared("add", vec![Value::Int(0), Value::str("A")]);
+        let frame = apply_in_place(&add, &mut state, &mut snap);
+        assert!(frame.changed(&state), "an insert");
+        assert_eq!(snap.frames, 2);
     }
 
     #[test]

@@ -1337,6 +1337,13 @@ enum UndoOp {
 /// exactly the positions later pairs (with strictly larger indices) are
 /// about to fill.
 ///
+/// Two things rely on every mutation being journaled. Rollback does, to
+/// restore the instance exactly. And the bounded-testing walk reads a
+/// journal that grew no entry during an update call as proof that the call
+/// left the instance unchanged, and then counts the sequences below it
+/// instead of walking them (see `equiv::compare_with_oracle`). A mutation
+/// made outside the journal would break both.
+///
 /// The journal also meters copy-on-write traffic: mutations go through
 /// [`Instance::rows_mut_tracked`], so the bytes physically copied to
 /// un-share a table (and the largest single such copy) are accounted where

@@ -56,6 +56,7 @@
 #![warn(missing_debug_implementations)]
 
 mod client;
+mod pack;
 mod server;
 
 pub use client::{client_cli, request, submit, wait_done, watch_into, CLIENT_USAGE};

@@ -11,6 +11,8 @@ use migrator::{CancelToken, SynthesisEvent, SynthesisObserver};
 use parpool::BudgetReservation;
 use pipeline::{run_job, JobSpec, Json, LineBus, LineBusSink, NdjsonWriter};
 
+use crate::pack::{pack, unpack};
+
 /// How the accept loop polls for connections and shutdown.
 const POLL: Duration = Duration::from_millis(10);
 
@@ -85,9 +87,11 @@ impl JobStatus {
 /// One submitted job: its spec, lifecycle state and event stream.
 ///
 /// A finished job keeps only what `status`, `list`, `result` and `watch`
-/// read: its outcome, its document and its stream. Its spec leaves the
-/// record when the job starts (or is retired unstarted), so no finished
-/// job holds its DDL or program text.
+/// read: its outcome, and its stream and document packed (see
+/// [`JobOutput::Sealed`]). Its spec leaves the record when the job starts
+/// (or is retired unstarted), so no finished job holds its DDL or program
+/// text; its bus and writer leave when it is sealed, so it holds no
+/// unpacked line either. The server keeps every job until it stops.
 struct JobRecord {
     id: u64,
     /// The job's inputs while it is queued; taken by the runner at start.
@@ -98,16 +102,68 @@ struct JobRecord {
     outcome: Option<String>,
     /// Whether the job solved *and* validated.
     ok: bool,
-    /// The job's single result document once done, rendered compactly
-    /// once and stored at its exact length: a finished job keeps text, not
-    /// the document's tree, and every `result` reply splices it in
-    /// verbatim.
-    document: Option<Box<str>>,
-    /// Fan-out of the job's NDJSON stream to watchers.
-    bus: Arc<LineBus>,
-    /// The writer producing that stream (kept to seal it exactly once).
-    writer: Arc<NdjsonWriter>,
+    output: JobOutput,
     cancel: CancelToken,
+}
+
+/// A job's stream and result: live until the job is sealed, packed after.
+enum JobOutput {
+    /// The job's NDJSON stream as it is written: the bus fans it out to
+    /// watchers, the writer produces it (and seals it exactly once).
+    Live {
+        bus: Arc<LineBus>,
+        writer: Arc<NdjsonWriter>,
+    },
+    /// A finished job's stream text (every line with its newline) and its
+    /// compact result document, each packed by [`pack`]. `watch` replays
+    /// the one and `result` splices in the other, unpacked, byte for byte
+    /// what the live job would have sent.
+    Sealed {
+        stream: Box<[u8]>,
+        document: Box<[u8]>,
+    },
+}
+
+impl JobRecord {
+    /// A queued job with a fresh stream.
+    fn new(id: u64, spec: JobSpec) -> JobRecord {
+        let bus = Arc::new(LineBus::new());
+        let writer = Arc::new(NdjsonWriter::new(Box::new(LineBusSink(Arc::clone(&bus)))));
+        JobRecord {
+            id,
+            spec: Some(spec),
+            status: JobStatus::Queued,
+            outcome: None,
+            ok: false,
+            output: JobOutput::Live { bus, writer },
+            cancel: CancelToken::new(),
+        }
+    }
+
+    /// Finishes the job: records its outcome, ends its stream with the
+    /// terminal `run_finished` line, and keeps the stream and `document`
+    /// packed in place of the bus and the writer. The writer's sink holds
+    /// the bus, so both must go for the record to release the history;
+    /// a watcher already following keeps the bus until it has read it all.
+    fn seal(&mut self, outcome: &str, ok: bool, document: &str) {
+        self.status = JobStatus::Done;
+        self.spec = None;
+        self.outcome = Some(outcome.to_string());
+        self.ok = ok;
+        if let JobOutput::Live { bus, writer } = &self.output {
+            writer.finish(outcome);
+            bus.close();
+            let mut stream = String::new();
+            for line in bus.lines() {
+                stream.push_str(&line);
+                stream.push('\n');
+            }
+            self.output = JobOutput::Sealed {
+                stream: pack(stream.as_bytes()),
+                document: pack(document.as_bytes()),
+            };
+        }
+    }
 }
 
 struct ServerState {
@@ -286,22 +342,11 @@ fn scheduler_loop(state: &Arc<ServerState>) {
             // line); running jobs get their tokens fired and are awaited.
             for job in jobs.iter_mut() {
                 if job.status == JobStatus::Queued {
-                    job.status = JobStatus::Done;
-                    job.spec = None;
-                    job.outcome = Some("cancelled".to_string());
-                    job.ok = false;
-                    job.document = Some(
-                        Json::object()
-                            .with("outcome", Json::str("cancelled"))
-                            .with(
-                                "error",
-                                Json::str("job cancelled before it started (server shutdown)"),
-                            )
-                            .to_compact_string()
-                            .into(),
+                    let document = Json::object().with("outcome", Json::str("cancelled")).with(
+                        "error",
+                        Json::str("job cancelled before it started (server shutdown)"),
                     );
-                    job.writer.finish("cancelled");
-                    job.bus.close();
+                    job.seal("cancelled", false, &document.to_compact_string());
                 }
                 job.cancel.cancel();
             }
@@ -334,12 +379,14 @@ fn scheduler_loop(state: &Arc<ServerState>) {
                 let id = job.id;
                 let spec = job.spec.take().expect("a queued job holds its spec");
                 let cancel = job.cancel.clone();
-                let writer = Arc::clone(&job.writer);
-                let bus = Arc::clone(&job.bus);
+                let JobOutput::Live { writer, .. } = &job.output else {
+                    unreachable!("a queued job is not sealed")
+                };
+                let writer = Arc::clone(writer);
                 drop(jobs);
                 let runner_state = Arc::clone(state);
                 std::thread::spawn(move || {
-                    run_one(&runner_state, id, spec, cancel, &writer, &bus, reservation);
+                    run_one(&runner_state, id, spec, cancel, writer, reservation);
                 });
                 continue;
             }
@@ -362,29 +409,27 @@ fn run_one(
     id: u64,
     spec: JobSpec,
     cancel: CancelToken,
-    writer: &Arc<NdjsonWriter>,
-    bus: &Arc<LineBus>,
+    writer: Arc<NdjsonWriter>,
     reservation: BudgetReservation,
 ) {
     let report = run_job(
         &spec,
         cancel,
-        Some(Arc::new(MainChannelOnly(Arc::clone(writer)))),
-        Some(Arc::clone(writer) as Arc<dyn pipeline::PipelineObserver>),
+        Some(Arc::new(MainChannelOnly(Arc::clone(&writer)))),
+        Some(writer as Arc<dyn pipeline::PipelineObserver>),
     );
 
-    // Record the result before sealing the stream: a watcher that has read
-    // `run_finished` may ask for `result` at once, and must find it.
+    // Record the result as the stream is sealed, under the job lock: a
+    // watcher that has read `run_finished` may ask for `result` at once,
+    // and must find it.
     let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(job) = jobs.iter_mut().find(|j| j.id == id) {
-        job.status = JobStatus::Done;
-        job.outcome = Some(report.outcome.clone());
-        job.ok = report.ok;
-        // `into` drops the spare capacity the rendering grew by doubling.
-        job.document = Some(report.document.to_compact_string().into());
+        job.seal(
+            &report.outcome,
+            report.ok,
+            &report.document.to_compact_string(),
+        );
     }
-    writer.finish(&report.outcome);
-    bus.close();
     drop(reservation);
     state.running.fetch_sub(1, Ordering::SeqCst);
     state.wake.notify_all();
@@ -414,6 +459,11 @@ fn result_reply(id: u64, outcome: &str, result_ok: bool, document: &str) -> Stri
     line.push_str(document);
     line.push('}');
     line
+}
+
+/// Text [`pack`]ed by [`JobRecord::seal`].
+fn unpack_text(packed: &[u8]) -> String {
+    String::from_utf8(unpack(packed)).expect("a job packs text")
 }
 
 fn error_reply(message: impl Into<String>) -> Json {
@@ -489,17 +539,19 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
             Ok(id) => {
                 let jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
                 let response = match jobs.iter().find(|j| j.id == id) {
-                    Some(job) if job.status == JobStatus::Done => result_reply(
-                        id,
-                        job.outcome.as_deref().unwrap_or("unknown"),
-                        job.ok,
-                        job.document.as_deref().unwrap_or("null"),
-                    ),
-                    Some(job) => error_reply(format!(
-                        "job {id} is not finished (status: {})",
-                        job.status.as_str()
-                    ))
-                    .to_compact_string(),
+                    Some(job) => match &job.output {
+                        JobOutput::Sealed { document, .. } => result_reply(
+                            id,
+                            job.outcome.as_deref().unwrap_or("unknown"),
+                            job.ok,
+                            &unpack_text(document),
+                        ),
+                        JobOutput::Live { .. } => error_reply(format!(
+                            "job {id} is not finished (status: {})",
+                            job.status.as_str()
+                        ))
+                        .to_compact_string(),
+                    },
                     None => error_reply(format!("no such job: {id}")).to_compact_string(),
                 };
                 drop(jobs);
@@ -527,12 +579,20 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
         },
         "watch" => match id_of(&request) {
             Ok(id) => {
-                let follower = {
+                let output = {
                     let jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
-                    jobs.iter().find(|j| j.id == id).map(|j| j.bus.follow())
+                    jobs.iter().find(|j| j.id == id).map(|j| match &j.output {
+                        JobOutput::Live { bus, .. } => Ok(bus.follow()),
+                        JobOutput::Sealed { stream, .. } => Err(stream.clone()),
+                    })
                 };
-                match follower {
-                    Some(mut follower) => {
+                match output {
+                    // A finished job: its whole stream at once.
+                    Some(Err(packed)) => {
+                        let _ = stream.write_all(&unpack(&packed));
+                        let _ = stream.flush();
+                    }
+                    Some(Ok(mut follower)) => {
                         // Stream every line of the job's history and then
                         // whatever still arrives, until the bus closes
                         // (which happens exactly once, after the terminal
@@ -606,8 +666,6 @@ fn handle_submit(state: &Arc<ServerState>, request: &Json) -> Json {
         Ok(spec) => spec,
         Err(message) => return error_reply(format!("invalid job: {message}")),
     };
-    let bus = Arc::new(LineBus::new());
-    let writer = Arc::new(NdjsonWriter::new(Box::new(LineBusSink(Arc::clone(&bus)))));
     let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
     // Re-check under the lock: a shutdown raced in between the phase check
     // and the insert would otherwise queue a job nobody retires.
@@ -615,17 +673,7 @@ fn handle_submit(state: &Arc<ServerState>, request: &Json) -> Json {
         return error_reply("server is shutting down; submissions are closed");
     }
     let id = jobs.iter().map(|j| j.id).max().unwrap_or(0) + 1;
-    jobs.push(JobRecord {
-        id,
-        spec: Some(spec),
-        status: JobStatus::Queued,
-        outcome: None,
-        ok: false,
-        document: None,
-        bus,
-        writer,
-        cancel: CancelToken::new(),
-    });
+    jobs.push(JobRecord::new(id, spec));
     drop(jobs);
     state.wake.notify_all();
     Json::object()
@@ -726,23 +774,95 @@ mod tests {
         line
     }
 
-    /// A finished job's record keeps its outcome, its exact-size document
-    /// and its stream, but not its spec; and every `result` fetch replies
-    /// with the same bytes.
-    #[test]
-    fn a_finished_job_keeps_no_spec_and_replies_the_same_result() {
-        let server = Server::start(ServerConfig::default()).expect("server starts");
-        let addr = server.addr();
-        let spec = JobSpec::new(
+    /// A job small enough to run in a unit test: a renamed column.
+    fn rename_spec() -> JobSpec {
+        JobSpec::new(
             "CREATE TABLE Users (uid INTEGER PRIMARY KEY, nick TEXT);",
             "CREATE TABLE Users (uid INTEGER PRIMARY KEY, handle TEXT);",
             "update addUser(uid: int, nick: string)
                  INSERT INTO Users VALUES (uid: uid, nick: nick);
              query getUser(uid: int)
                  SELECT nick FROM Users WHERE uid = uid;",
+        )
+    }
+
+    /// Runs `spec` into `job`'s live stream, as the server's runner does,
+    /// and returns the job's outcome, whether it is ok, and its compact
+    /// document.
+    fn run_into(job: &mut JobRecord) -> (String, bool, String) {
+        let JobOutput::Live { writer, .. } = &job.output else {
+            panic!("job {} is sealed", job.id);
+        };
+        let writer = Arc::clone(writer);
+        let spec = job.spec.take().expect("a queued job holds its spec");
+        let report = run_job(
+            &spec,
+            CancelToken::new(),
+            Some(Arc::new(MainChannelOnly(Arc::clone(&writer)))),
+            Some(writer as Arc<dyn pipeline::PipelineObserver>),
         );
+        (
+            report.outcome,
+            report.ok,
+            report.document.to_compact_string(),
+        )
+    }
+
+    /// A sealed job keeps its stream and document packed, and neither the
+    /// bus nor the writer, whose sink would keep the bus alive. A watcher
+    /// already following the live stream keeps the bus until it has read
+    /// it all, and reads exactly what the packed stream replays.
+    #[test]
+    fn a_sealed_job_keeps_packed_text_and_no_bus_or_writer() {
+        let mut job = JobRecord::new(1, rename_spec());
+        let JobOutput::Live { bus, writer } = &job.output else {
+            panic!("a new job is live");
+        };
+        let (bus, writer) = (Arc::downgrade(bus), Arc::downgrade(writer));
+        let mut follower = bus.upgrade().expect("live bus").follow();
+        let (outcome, ok, document) = run_into(&mut job);
+        job.seal(&outcome, ok, &document);
+        assert_eq!((job.status, outcome.as_str()), (JobStatus::Done, "solved"));
+        assert!(writer.upgrade().is_none(), "a sealed job keeps no writer");
+        let mut live = String::new();
+        while let Some(line) = follower.next_line() {
+            live.push_str(&line);
+            live.push('\n');
+        }
+        drop(follower);
+        assert!(
+            bus.upgrade().is_none(),
+            "nor a bus once its watcher is done"
+        );
+        let JobOutput::Sealed {
+            stream,
+            document: packed,
+            ..
+        } = &job.output
+        else {
+            panic!("a finished job is sealed");
+        };
+        let last = live.lines().last().expect("a stream has lines");
+        assert!(last.contains("\"run_finished\""), "{last}");
+        assert_eq!(unpack_text(stream), live);
+        assert_eq!(unpack_text(packed), document);
+        assert!(
+            stream.len() < live.len(),
+            "{} of {}",
+            stream.len(),
+            live.len()
+        );
+    }
+
+    /// A finished job keeps no spec, and every `watch` and `result` of it
+    /// replies with the same bytes: the watched stream is the one a serial
+    /// run writes, and two fetches of the result are identical.
+    #[test]
+    fn a_finished_job_keeps_no_spec_and_replies_the_same_result() {
+        let server = Server::start(ServerConfig::default()).expect("server starts");
+        let addr = server.addr();
         let address = addr.to_string();
-        let id = crate::submit(&address, &spec).expect("submit");
+        let id = crate::submit(&address, &rename_spec()).expect("submit");
         let done = crate::wait_done(&address, id).expect("job finishes");
         assert_eq!(done.get("outcome").and_then(Json::as_str), Some("solved"));
         {
@@ -750,10 +870,22 @@ mod tests {
             let job = jobs.iter().find(|j| j.id == id).expect("job listed");
             assert_eq!(job.status, JobStatus::Done);
             assert!(job.spec.is_none(), "a finished job keeps no spec");
-            assert!(job
-                .document
-                .as_deref()
-                .is_some_and(|d| d.contains("\"solved\"")));
+            let JobOutput::Sealed { document, .. } = &job.output else {
+                panic!("a finished job is sealed");
+            };
+            assert!(unpack_text(document).contains("\"solved\""));
+        }
+        let mut serial = JobRecord::new(0, rename_spec());
+        let (outcome, ok, document) = run_into(&mut serial);
+        serial.seal(&outcome, ok, &document);
+        let JobOutput::Sealed { stream, .. } = &serial.output else {
+            panic!("sealed");
+        };
+        let reference = unpack_text(stream);
+        for _ in 0..2 {
+            let mut watched = Vec::new();
+            crate::watch_into(&address, id, &mut watched).expect("watch");
+            assert_eq!(String::from_utf8(watched).unwrap(), reference);
         }
         let fetch = Json::object()
             .with("cmd", Json::str("result"))
