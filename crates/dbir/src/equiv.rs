@@ -30,6 +30,15 @@
 //!   agree, so its subtree is counted arithmetically. Prefixes on which
 //!   both programs have already failed are the simplest case — no call
 //!   changes a failed state.
+//!
+//!   The unit of the walk is the *update tree*: the query plans whose
+//!   relevance closures select the same update functions test the same
+//!   update calls, and share one tree. Its roots are resolved once per
+//!   check and length; above the cache depth one walk below each root
+//!   serves every undecided plan of the tree, so each update call is
+//!   applied and reverted once per tree node rather than once per plan. A
+//!   merge in plan order gives every plan the sequences it tested in its
+//!   own enumeration order, so the report is the per-plan walk's.
 //! * [`compare_programs_naive`] — the original odometer that materializes and
 //!   replays every sequence from scratch. It is retained as an executable
 //!   reference semantics: a differential property test asserts the two
@@ -55,18 +64,20 @@
 //! later check with the same key counts that pair's sequences without
 //! walking it (see [`compare_with_oracle`]).
 //!
-//! The walk itself is parallel: within one (query plan, depth) subtree, the
-//! subtrees below the prefixes resolved at the cache depth (the *roots*)
-//! are searched by worker threads (budgeted by the in-tree [`parpool`]
-//! shim). Determinism is preserved by construction — root subtrees are
-//! merged in enumeration order and the **lowest-index** counterexample wins,
+//! The walk itself is parallel: within one (tree, depth) walk, the subtrees
+//! below the prefixes resolved at the cache depth (the *roots*) are
+//! searched by worker threads (budgeted by the in-tree [`parpool`] shim).
+//! Determinism is preserved by construction — root subtrees are merged in
+//! enumeration order, each plan keeps its **lowest-index** counterexample,
 //! and every root's work is a pure function of the candidate — so the
 //! reported counterexample, `sequences_tested` and every counter of the
 //! [`CheckProfile`] are byte-identical to the single-threaded trajectory at
-//! any thread count. When [`TestConfig::max_sequences`] is set the engine
-//! stays sequential (the cap is a global budget that cannot be split without
-//! changing what it measures), and tiny subtrees are searched inline because
-//! fork-join overhead would dominate.
+//! any thread count. [`TestConfig::max_sequences`] is spent in the merge in
+//! plan order; a root's walk stops once the plan the merge spends next has
+//! tested more than what is left of the budget within that root alone, a
+//! rule that does not depend on the other roots, so a capped check splits
+//! its roots too. Tiny walks are searched inline because fork-join overhead
+//! would dominate.
 //!
 //! **Undo-log correctness.** The in-place walk is equivalent to a
 //! clone-per-node walk because (a) the journaled executor
@@ -133,8 +144,12 @@ pub struct TestConfig {
     /// If `true`, restrict the update functions considered for a given query
     /// to the relevance closure described in the module documentation.
     pub cluster_by_tables: bool,
-    /// Hard cap on the total number of invocation sequences executed
-    /// (`None` for no cap).
+    /// Hard cap on the total number of invocation sequences tested
+    /// (`None` for no cap). A check that reaches it reports exactly `cap`
+    /// sequences tested and no verdict of bounded equivalence. It bounds
+    /// the work too: the walk below each root stops once that root alone has
+    /// tested more than what was left of the cap (see
+    /// [`compare_with_oracle`]).
     pub max_sequences: Option<usize>,
 }
 
@@ -163,15 +178,6 @@ impl TestConfig {
             max_updates: 3,
             int_seeds: vec![0, 1, 2],
             max_arg_combinations: Some(8),
-            ..TestConfig::default()
-        }
-    }
-
-    /// A shallow configuration (a single preceding update) used for quick
-    /// screening of obviously wrong candidates.
-    pub fn quick() -> TestConfig {
-        TestConfig {
-            max_updates: 1,
             ..TestConfig::default()
         }
     }
@@ -259,9 +265,10 @@ pub struct EquivalenceReport {
 /// `plans_compiled` and `prefix_cache_hits` depend only on the checks that
 /// shared that cache before. Below the resolved roots each root's walk —
 /// its one detaching snapshot, its copy-on-write copies, its journal frames
-/// and rollbacks — is a pure function of the candidate, and the
-/// index-ordered merge absorbs exactly the roots the sequential walk would
-/// have visited, so `snapshots_taken`, `snapshot_bytes_copied`,
+/// and rollbacks — is a pure function of the candidate and of the plans
+/// its tree walk serves, which the merge in plan order fixes before the
+/// split. The index-ordered merge absorbs exactly the roots the sequential
+/// walk would have visited, so `snapshots_taken`, `snapshot_bytes_copied`,
 /// `undo_frames` and `undo_ops_rolled_back` are too. All `*_time` fields
 /// are wall-clock and may not be compared across runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -287,15 +294,18 @@ pub struct CheckProfile {
     pub snapshot_bytes_copied: u64,
     /// Update-prefix states served from the check's [`PrefixCache`] instead
     /// of re-executed: states an earlier check through a shared cache
-    /// executed, and states an earlier depth of this check executed. A
-    /// (plan, length) pair skipped for a remembered verdict resolves no
-    /// state, so it adds no hits.
+    /// executed, and states an earlier depth of this check executed. Each
+    /// update tree's roots are looked up once per length, however many
+    /// plans share the tree. A (plan, length) pair skipped for a remembered
+    /// verdict resolves no state, so a tree whose every plan is remembered
+    /// adds no hits.
     /// Deterministic at any thread count: every lookup happens on the
     /// check's calling thread, between parallel sections (see
     /// [`PrefixCache`]).
     pub prefix_cache_hits: u64,
     /// Update calls executed in place with their inverses journaled (one
-    /// frame per journaled execution).
+    /// frame per journaled execution: once per node of an update tree's
+    /// walk, however many plans the walk serves).
     pub undo_frames: u64,
     /// Row-level inverse operations replayed while backtracking (rows
     /// un-pushed, rows re-inserted, cells restored).
@@ -477,6 +487,13 @@ struct QueryPlan {
 }
 
 impl QueryPlan {
+    /// The sequence of the update calls at `path`, then the query call at
+    /// `query`.
+    fn sequence(&self, path: &[usize], query: usize) -> InvocationSequence {
+        let updates = path.iter().map(|&i| self.update_calls[i].clone()).collect();
+        InvocationSequence::new(updates, self.query_calls[query].clone())
+    }
+
     /// The plan of the source function at position `query` over the update
     /// functions at positions `updates`, with the position of each update
     /// call's function.
@@ -677,7 +694,10 @@ const PREFIX_CACHE_CAPACITY: usize = 1 << 17;
 /// program's bodies are interned once per cache, a target function equal to
 /// the last check's keeps its body id unprinted, and a plan's calls, their
 /// oracle ids and its source-side plans are kept for as long as checks test
-/// the same call list.
+/// the same call list. Within a check the plans that test the same update
+/// calls share an update tree, whose roots the check looks up here once
+/// per length for all of them; a prefix key names calls and bodies, not
+/// plans, so the trees of different plans and checks share entries too.
 ///
 /// A cache belongs to one [`SourceOracle`] (its call ids and source
 /// program) and one target schema (its plans), as a sketch run does. A check
@@ -713,7 +733,7 @@ pub struct PrefixCache {
     /// Interned call lists → id (see [`InternedPlan::list`]).
     call_lists: HashMap<Box<[u32]>, u32, FnvBuild>,
     /// Remembered verdicts: bit `l` of a plan's entry is set once a check
-    /// walked the plan at length `l` to [`Search::Exhausted`].
+    /// walked the plan at length `l` to exhaustion.
     exhausted: HashMap<VerdictKey, u64, FnvBuild>,
     /// Compiled update and query plans.
     compiled: CompiledPlans,
@@ -856,10 +876,13 @@ struct InternedPlan {
 
 impl InternedPlan {
     /// The number of sequences of `length` update calls the plan tests.
-    fn sequences(&self, length: usize) -> u128 {
-        (self.calls.update_calls.len() as u128)
-            .saturating_pow(length as u32)
-            .saturating_mul(self.calls.query_calls.len() as u128)
+    fn sequences(&self, length: usize) -> usize {
+        let length = u32::try_from(length).unwrap_or(u32::MAX);
+        self.calls
+            .update_calls
+            .len()
+            .saturating_pow(length)
+            .saturating_mul(self.calls.query_calls.len())
     }
 }
 
@@ -875,6 +898,10 @@ struct TargetPlans {
 /// One plan as one check tests it.
 struct CheckPlan {
     plan: Arc<InternedPlan>,
+    /// The plan's update tree: plans whose relevance closures select the
+    /// same update functions test the same update calls, so they share a
+    /// tree. Trees are numbered in the order of their first plans.
+    tree: usize,
     key: VerdictKey,
     /// The lengths an earlier check walked this plan to exhaustion at (bit
     /// `l` for length `l`), as the cache held them when the check began.
@@ -1040,8 +1067,16 @@ impl PrefixCache {
             program: target,
             schema: target_schema,
         };
-        let mut plans = Vec::new();
+        let mut plans: Vec<CheckPlan> = Vec::new();
+        let mut trees: Vec<Vec<usize>> = Vec::new();
         for (query, updates) in selections(source, target, config) {
+            let tree = match trees.iter().position(|tree| *tree == updates) {
+                Some(tree) => tree,
+                None => {
+                    trees.push(updates.clone());
+                    trees.len() - 1
+                }
+            };
             let plan_key = (config_index, query, updates);
             let plan = match self.plans.get(&plan_key) {
                 Some(plan) => Arc::clone(plan),
@@ -1062,6 +1097,7 @@ impl PrefixCache {
             let exhausted = self.exhausted.get(&key).copied().unwrap_or(0);
             let mut check = CheckPlan {
                 plan,
+                tree,
                 key,
                 exhausted,
                 target: None,
@@ -1144,23 +1180,95 @@ fn prefix_key(target: bool, path: &[usize], update_ids: &[u32], body_ids: &[u32]
     }
 }
 
-/// Result of walking one (plan, depth) subtree.
-enum Search {
-    /// Every sequence in the subtree was covered and agreed.
-    Exhausted,
-    /// The programs disagreed on this sequence.
-    Counterexample(InvocationSequence),
-    /// The [`TestConfig::max_sequences`] budget ran out mid-subtree.
-    CapHit,
+/// Why a walk below one root stopped before its end.
+enum Halt {
+    /// The first plan the walk serves failed. That decides every plan it
+    /// serves: the others come after it in plan order, so the merge never
+    /// reaches them.
+    Decided,
+    /// The first plan the walk serves tested more sequences below this root
+    /// than are left of [`TestConfig::max_sequences`]: the merge stops the
+    /// check at the cap, at this root or an earlier one.
+    Capped,
     /// The caller's [`CancelToken`] fired mid-subtree; the walk unwound
     /// without a verdict.
     Cancelled,
     /// A parallel root task bailed out because a lower-index root already
-    /// holds a stopping result (a counterexample or a token cancellation).
-    /// Never observed by the index-ordered merge: an abort implies a
-    /// stopping result at a strictly lower index, so the merge returns
-    /// before reaching an aborted slot.
+    /// holds a stopping result. Never observed by the index-ordered merge:
+    /// an abort implies a stopping result at a strictly lower index, so the
+    /// merge returns before reaching an aborted slot.
     Aborted,
+}
+
+/// What walks below one or more roots of a tree found for the plans they
+/// serve, in plan order: the sequences each plan tested, in its own
+/// enumeration order, and the first plan that failed, with its
+/// counterexample. The plans after a failed one are dropped: the merge in
+/// plan order returns at the failure before it reaches them, so their
+/// counts stop early and are never read.
+struct Tally {
+    tested: Vec<usize>,
+    failure: Option<Failure>,
+}
+
+/// Where a walk found a plan's first counterexample: the plan's index among
+/// those the walk serves, the indices of the update calls before it and the
+/// index of its query call. A failure costs a root no call clones; the
+/// merge materializes only the one that decides its tree walk (see
+/// [`QueryPlan::sequence`]).
+struct Failure {
+    plan: usize,
+    path: Box<[usize]>,
+    query: usize,
+}
+
+impl Tally {
+    fn new(plans: usize) -> Tally {
+        Tally {
+            tested: vec![0; plans],
+            failure: None,
+        }
+    }
+
+    /// How many plans, from the first, are still undecided: those before
+    /// the failed one, or all of them.
+    fn live(&self) -> usize {
+        self.failure
+            .as_ref()
+            .map_or(self.tested.len(), |failure| failure.plan)
+    }
+
+    /// Counts, for every undecided plan, its sequences with `length` update
+    /// calls below the current node, without running them (see
+    /// [`compare_with_oracle`]).
+    fn count_agreed(&mut self, plans: &[Served<'_>], length: usize) {
+        let live = self.live();
+        for (tested, (plan, _)) in self.tested[..live].iter_mut().zip(plans) {
+            *tested += plan.sequences(length);
+        }
+    }
+
+    /// Adds the tally of the next root, in root order. A plan this tally
+    /// has already decided takes nothing from it; a plan the root saw fail
+    /// is decided here, unless an earlier one already is.
+    fn absorb(&mut self, root: Tally) {
+        let live = self.live();
+        for (total, tested) in self.tested[..live].iter_mut().zip(&root.tested) {
+            *total += tested;
+        }
+        if let Some(failure) = root.failure {
+            if failure.plan < live {
+                self.failure = Some(failure);
+            }
+        }
+    }
+}
+
+/// One (plan, length) pair as the merge in plan order takes it: the
+/// sequences it tested, through its counterexample if it has one.
+struct Verdict {
+    tested: usize,
+    failure: Option<InvocationSequence>,
 }
 
 /// One plan's calls, pre-resolved and pre-bound against one program.
@@ -1244,25 +1352,59 @@ fn prepare_query(program: &Program, schema: &Schema, call: &Call) -> PreparedQue
 /// None of the three changes *what* is reported — the counterexample,
 /// `sequences_tested` and `bound_exhausted` are the same with or without
 /// them, and with a token that never fires; a cache changes only which
-/// update executions and which exhausted subtrees are skipped. A skipped
-/// subtree's `fanout^length × |queries|` sequences are counted as the walk
-/// counts a subtree on which both programs failed, the
-/// [`TestConfig::max_sequences`] budget included, so it reports what the
-/// walk would have: the walk of a (plan, length) pair is a function of the
-/// pair's calls and function bodies alone, and only walks that found no
-/// counterexample, hit no budget and were not cancelled are remembered.
+/// update executions and which exhausted subtrees are skipped.
 ///
-/// Inside a walk, an update call that changes neither side's state — it
-/// journals no mutation, mints no identifier and sets no failure, like a
-/// delete that finds no rows — is counted the same way, with its subtree.
-/// Fix a plan `P` and a length `ℓ`. If the call `u` after a prefix `p`
-/// changes neither side, every sequence `p·u·s·q` observes on both sides
-/// exactly what `p·s·q` observes, a sequence of `P` with `ℓ - 1` update
-/// calls. The check reaches `(P, ℓ)` only after `(P, ℓ - 1)` came back
-/// exhausted, walked or remembered, so every skipped sequence agrees: the
-/// first counterexample in enumeration order, `sequences_tested`,
-/// `bound_exhausted` and the remembered verdicts are what a walk of every
-/// sequence would give.
+/// **One walk per update tree.** The plans whose relevance closures select
+/// the same update functions test the same update calls: they share an
+/// update tree. For each length, in plan order, a tree is walked when its
+/// first undecided plan comes up. Its roots — the first
+/// `min(length, PREFIX_CACHE_DEPTH)` levels of calls — are resolved once
+/// per length through the [`PrefixCache`]. Up to that depth every plan
+/// reads its leaves off the shared roots when its turn comes. Above it, one
+/// depth-first walk below each root serves every plan of the tree that is
+/// not remembered and comes before the first plan known to fail at this
+/// length, so each update call is applied and reverted once per tree node,
+/// not once per plan. The merge reproduces the per-plan enumeration
+/// exactly:
+///
+/// * Plans are decided in plan order, each with the sequences it tested in
+///   its own enumeration order. A plan's walk stops at its first
+///   counterexample; a counterexample also drops every later plan of the
+///   walk, since the merge returns before it reaches them.
+/// * The merge adds each plan's count to `sequences_tested` and returns at
+///   the first plan that failed. A plan some earlier walk left undecided is
+///   never reached: the plan that dropped it fails first.
+/// * [`TestConfig::max_sequences`] is spent in the merge, plan by plan: a
+///   plan whose count does not fit in what is left of the budget stops the
+///   check with the budget spent, where enumerating its sequences one by
+///   one would have stopped. So a tree walk stops below a root once the
+///   plan it was started for has tested more than what is left there, and
+///   the merge of its roots once that plan's count outgrows it.
+///
+/// **Counted, not walked.** Two kinds of subtrees are counted into the
+/// plans they belong to instead of being walked, so the reports are what a
+/// walk of every sequence gives:
+///
+/// * A remembered (plan, length) pair: a check through the same cache
+///   walked it to exhaustion, and the walk of a pair is a function of the
+///   pair's calls and function bodies alone. Only pairs a walk decided as
+///   exhausted are remembered, never a failed, dropped or cancelled one.
+/// * The subtree of an update call that changes neither side's state — it
+///   journals no mutation, mints no identifier and sets no failure, like a
+///   delete that finds no rows. Fix a plan `P` and a length `ℓ`. If the call
+///   `u` after a prefix `p` changes neither side, every sequence `p·u·s·q`
+///   observes on both sides exactly what `p·s·q` observes, a sequence of `P`
+///   with `ℓ - 1` update calls. The check reaches length `ℓ` only after
+///   every plan came back exhausted at `ℓ - 1`, walked or remembered, so
+///   every skipped sequence agrees.
+///
+/// **Parallel roots.** A walk with enough leaves splits its roots over
+/// worker threads with [`parpool::par_map_stop`]. Each root's walk serves
+/// the plans the tree walk started with and drops plans only on its own
+/// failures, so its work is a function of the candidate alone; a root stops
+/// everything once the tree's first undecided plan fails in it. The roots
+/// are merged in root order up to that root, so every counter of the
+/// [`CheckProfile`] is the same at any thread count.
 pub fn compare_with_oracle(
     oracle: &SourceOracle<'_>,
     target: &Program,
@@ -1283,6 +1425,8 @@ pub fn compare_with_oracle(
         profile.plan_compile_time += start.elapsed();
         profile.plans_compiled += cache.compiled.count - compiled_before;
     }
+    let schemas = (oracle.schema(), target_schema);
+    let tree_count = plans.iter().map(|check| check.tree + 1).max().unwrap_or(0);
     let mut snap = SnapStats {
         timed,
         ..SnapStats::default()
@@ -1293,15 +1437,21 @@ pub fn compare_with_oracle(
     // < ℓ, but the extra work is a geometric series dominated by the last
     // level, and it keeps memory at O(L) snapshots while preserving the
     // increasing-length enumeration that makes counterexamples minimal.
-    // (Plan, length) pairs are searched in order with a barrier between
-    // them — parallelism lives *inside* each pair — so a counterexample in
-    // an earlier pair is found before a later pair is ever entered, exactly
-    // as in the sequential enumeration.
     // (An immediately-invoked closure, so the early returns of the search
     // still flow through the profile finalization below.)
     let mut walk = || -> EquivalenceReport {
         let mut sequences_tested = 0usize;
-        let cancelled_report = |sequences_tested: usize| EquivalenceReport {
+        let report =
+            |sequences_tested, counterexample: Option<InvocationSequence>, capped: bool| {
+                EquivalenceReport {
+                    equivalent: counterexample.is_none(),
+                    bound_exhausted: counterexample.is_none() && !capped,
+                    counterexample,
+                    sequences_tested,
+                    cancelled: false,
+                }
+            };
+        let cancelled_report = |sequences_tested| EquivalenceReport {
             equivalent: false,
             counterexample: None,
             sequences_tested,
@@ -1309,7 +1459,8 @@ pub fn compare_with_oracle(
             cancelled: true,
         };
         for length in 0..=config.max_updates {
-            for check in &plans {
+            let mut round = Round::new(length, plans.len(), tree_count);
+            for (position, check) in plans.iter().enumerate() {
                 let plan = &check.plan;
                 if length > 0 && plan.calls.update_calls.is_empty() {
                     continue;
@@ -1317,65 +1468,36 @@ pub fn compare_with_oracle(
                 if cancel.is_some_and(CancelToken::is_cancelled) {
                     return cancelled_report(sequences_tested);
                 }
-                let search = if check.remembered(length) {
-                    // An earlier check walked this very subtree to exhaustion.
-                    count_agreed(
-                        plan.sequences(length),
-                        config.max_sequences,
-                        &mut sequences_tested,
-                    )
+                let verdict = if check.remembered(length) {
+                    Verdict {
+                        tested: plan.sequences(length),
+                        failure: None,
+                    }
                 } else {
-                    let target_plans = check.target.as_ref().expect("prepared: a length is left");
-                    let search = search_plan(
-                        oracle.schema(),
-                        target_schema,
-                        plan,
-                        target_plans,
-                        config,
-                        length,
-                        &mut sequences_tested,
-                        cancel,
-                        &mut snap,
-                        cache,
-                    );
-                    if matches!(search, Search::Exhausted) {
-                        cache.remember_exhausted(&check.key, length);
+                    if round.verdicts[position].is_none() {
+                        let budget = config
+                            .max_sequences
+                            .map_or(usize::MAX, |cap| cap.saturating_sub(sequences_tested));
+                        let walked = round.walk_tree_of(
+                            &plans, position, budget, cache, schemas, cancel, &mut snap,
+                        );
+                        if let Err(tested) = walked {
+                            return cancelled_report(sequences_tested + tested);
+                        }
                     }
-                    search
+                    round.verdicts[position]
+                        .take()
+                        .expect("the walk of a plan's tree decides it")
                 };
-                match search {
-                    Search::Exhausted => {}
-                    Search::Counterexample(sequence) => {
-                        return EquivalenceReport {
-                            equivalent: false,
-                            counterexample: Some(sequence),
-                            sequences_tested,
-                            bound_exhausted: false,
-                            cancelled: false,
-                        }
-                    }
-                    Search::CapHit => {
-                        return EquivalenceReport {
-                            equivalent: true,
-                            counterexample: None,
-                            sequences_tested,
-                            bound_exhausted: false,
-                            cancelled: false,
-                        }
-                    }
-                    Search::Cancelled => return cancelled_report(sequences_tested),
-                    Search::Aborted => unreachable!("merge stops before aborted roots"),
+                if !spend(verdict.tested, config.max_sequences, &mut sequences_tested) {
+                    return report(sequences_tested, None, true);
+                }
+                if verdict.failure.is_some() {
+                    return report(sequences_tested, verdict.failure, false);
                 }
             }
         }
-
-        EquivalenceReport {
-            equivalent: true,
-            counterexample: None,
-            sequences_tested,
-            bound_exhausted: true,
-            cancelled: false,
-        }
+        report(sequences_tested, None, false)
     };
     let report = walk();
 
@@ -1396,14 +1518,111 @@ pub fn compare_with_oracle(
     report
 }
 
-/// Smallest estimated leaf count for which a (plan, length) subtree is
-/// worth fork-join overhead; below it the subtree is searched inline.
-const PARALLEL_LEAF_THRESHOLD: u128 = 4096;
+/// One round of iterative deepening, at one length: each plan's verdict
+/// once a walk of its tree decided it, each tree's roots once resolved, and
+/// the first plan known to fail.
+struct Round {
+    length: usize,
+    verdicts: Vec<Option<Verdict>>,
+    roots: Vec<Option<Vec<Root>>>,
+    first_failure: usize,
+}
 
-/// One resolved root of a (plan, length) subtree: the update-call path to
-/// it (the first `len` entries of `path`), both sides' states after that
-/// path, and whether its last call changed neither side — such a root is
-/// counted, not walked or expanded.
+impl Round {
+    fn new(length: usize, plans: usize, trees: usize) -> Round {
+        Round {
+            length,
+            verdicts: (0..plans).map(|_| None).collect(),
+            roots: (0..trees).map(|_| None).collect(),
+            first_failure: plans,
+        }
+    }
+
+    /// Walks the tree of `plans[position]`, its first undecided plan, and
+    /// records the verdict of every plan the walk decides. Up to the cache
+    /// depth the walk serves that plan alone, off roots shared with the
+    /// tree's later plans; above it, every later plan of the tree too that
+    /// is not remembered and comes before the first known failure. A walk
+    /// in which that plan tests more than `budget` sequences stops there and
+    /// decides it alone, unremembered: the merge stops the check at the cap.
+    /// `Err` with the sequences the walk tested if the caller's token
+    /// cancelled it.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_tree_of(
+        &mut self,
+        plans: &[CheckPlan],
+        position: usize,
+        budget: usize,
+        cache: &mut PrefixCache,
+        schemas: (&Schema, &Schema),
+        token: Option<&CancelToken>,
+        snap: &mut SnapStats,
+    ) -> Result<(), usize> {
+        let (length, tree) = (self.length, plans[position].tree);
+        let served: Vec<usize> = if length <= PREFIX_CACHE_DEPTH {
+            vec![position]
+        } else {
+            (position..self.first_failure)
+                .filter(|&later| plans[later].tree == tree && !plans[later].remembered(length))
+                .collect()
+        };
+        let sides: Vec<Served<'_>> = served
+            .iter()
+            .map(|&served| {
+                let check = &plans[served];
+                let target = check.target.as_ref().expect("prepared: a length is left");
+                (&*check.plan, target)
+            })
+            .collect();
+        let roots = self.roots[tree]
+            .get_or_insert_with(|| resolve_roots(cache, sides[0], schemas, length, snap));
+        let (tally, cancelled) = walk_tree(schemas, &sides, roots, length, budget, token, snap);
+        if cancelled {
+            return Err(tally.tested.iter().sum());
+        }
+        if tally.live() > 0 && tally.tested[0] > budget {
+            self.verdicts[position] = Some(Verdict {
+                tested: tally.tested[0],
+                failure: None,
+            });
+            return Ok(());
+        }
+        for (&served, &tested) in served[..tally.live()].iter().zip(&tally.tested) {
+            cache.remember_exhausted(&plans[served].key, length);
+            self.verdicts[served] = Some(Verdict {
+                tested,
+                failure: None,
+            });
+        }
+        if let Some(failure) = tally.failure {
+            self.first_failure = served[failure.plan];
+            let calls = &plans[self.first_failure].plan.calls;
+            self.verdicts[self.first_failure] = Some(Verdict {
+                tested: tally.tested[failure.plan],
+                failure: Some(calls.sequence(&failure.path, failure.query)),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// One plan a tree walk serves: its calls and source side, and its target
+/// side. Every plan of a tree has the same update calls on both sides.
+type Served<'a> = (&'a InternedPlan, &'a TargetPlans);
+
+/// What the walk below one root hands back: its tally, why it stopped
+/// early if it did, and its accounting.
+type RootRun = (Tally, Option<Halt>, SnapStats);
+
+/// Smallest leaf count (summed over the plans a tree walk serves) for which
+/// the walk is worth fork-join overhead; below it the roots are walked
+/// inline.
+const PARALLEL_LEAF_THRESHOLD: usize = 4096;
+
+/// One resolved root of a tree: the update-call path to it (the first `len`
+/// entries of `path`), both sides' states after that path, and whether its
+/// last call changed neither side — such a root is counted, not walked or
+/// expanded.
 struct Root {
     path: [usize; PREFIX_CACHE_DEPTH],
     len: usize,
@@ -1412,52 +1631,33 @@ struct Root {
     unchanged: bool,
 }
 
-/// Searches one (plan, length) subtree, in parallel when profitable.
-///
-/// Before walking, the first `min(length, PREFIX_CACHE_DEPTH)` levels of
-/// the update-call tree are resolved *sequentially, in lexicographic
-/// order* through the [`PrefixCache`]: each prefix's executed source and
-/// target states are either reused from an earlier candidate (or an
-/// earlier depth of this one) or computed once and published. Candidates
-/// that differ only in later update-function bodies — the common case in
-/// CEGIS, where one hole flips per iteration — hit on every shared prefix.
-/// A prefix whose last call changed neither side is not expanded: it
-/// becomes a root that is counted in its place in the order, as the walk
-/// counts such a call's subtree (see [`compare_with_oracle`]).
+/// Resolves the roots of a tree at `length`, with the update calls of
+/// `plan`, one of its plans: the first `min(length, PREFIX_CACHE_DEPTH)`
+/// levels of the update-call tree, *sequentially, in lexicographic order*,
+/// through the [`PrefixCache`]. Each prefix's executed source and target
+/// states are either reused from an earlier candidate (or an earlier depth
+/// of this one) or computed once and published. Candidates that differ only
+/// in later update-function bodies — the common case in CEGIS, where one
+/// hole flips per iteration — hit on every shared prefix. A prefix whose
+/// last call changed neither side is not expanded: it becomes a root that
+/// is counted in its place in the order, as the walk counts such a call's
+/// subtree (see [`compare_with_oracle`]).
 ///
 /// All cache access happens here, on the calling thread, at a sequential
 /// point *before* any parallel split; the walks below the resolved roots
 /// never touch the cache. Hit counts are therefore a pure function of the
 /// candidate sequence — deterministic at any thread count — and the cache
 /// needs no synchronization.
-///
-/// The roots are then walked either sequentially in root order (sharing the
-/// one global sequence budget), or by `par_map_stop` with each root task
-/// counting into a private counter. Merging task results in root order and
-/// stopping at the first counterexample reproduces the sequential outcome,
-/// count *and* accounting exactly: roots before the winner contribute their
-/// full subtrees, the winner contributes its walk up to the counterexample,
-/// and later roots — which the sequential walk never reached — are
-/// discarded unread.
-#[allow(clippy::too_many_arguments)]
-fn search_plan(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    plan: &InternedPlan,
-    target: &TargetPlans,
-    config: &TestConfig,
-    length: usize,
-    sequences_tested: &mut usize,
-    token: Option<&CancelToken>,
-    snap: &mut SnapStats,
+fn resolve_roots(
     cache: &mut PrefixCache,
-) -> Search {
+    (plan, target): Served<'_>,
+    (source_schema, target_schema): (&Schema, &Schema),
+    length: usize,
+    snap: &mut SnapStats,
+) -> Vec<Root> {
     let fanout = plan.calls.update_calls.len();
-    let base = length.min(PREFIX_CACHE_DEPTH);
-
-    // Resolve the first `base` levels through the cache, level by level in
-    // lexicographic order. Misses execute the update once and account the
-    // clone in a local SnapStats folded below, exactly like a walk subtree.
+    // Misses execute the update once and account the clone in a local
+    // SnapStats folded below, exactly like a walk subtree.
     let mut resolve_snap = snap.fresh();
     let mut roots = vec![Root {
         path: [0; PREFIX_CACHE_DEPTH],
@@ -1466,7 +1666,7 @@ fn search_plan(
         tgt: Arc::new(ExecState::Live(Instance::empty(target_schema), 0)),
         unchanged: false,
     }];
-    for _ in 0..base {
+    for _ in 0..length.min(PREFIX_CACHE_DEPTH) {
         let mut next = Vec::with_capacity(roots.len() * fanout);
         for root in roots {
             if root.unchanged {
@@ -1498,27 +1698,51 @@ fn search_plan(
     }
     fold_snapshot_peak(resolve_snap.peak);
     snap.absorb(&resolve_snap);
+    roots
+}
 
-    // Walks the `length - base` levels below one root, counting into
-    // `counter`, and hands back the walk's own accounting. An unchanged
-    // root's sequences are counted instead.
+/// Walks one tree at `length` below its `roots` for the plans `served`, in
+/// plan order, and merges what the roots found; `true` with it if the
+/// caller's token cancelled the walk. The merge stops once the first plan
+/// has tested more than `budget` sequences.
+///
+/// The roots are walked either sequentially in root order, or by
+/// `par_map_stop`, each root task tallying into a private [`Tally`]. A
+/// root's walk serves every plan of `served` until that plan, or an earlier
+/// one, fails in it, and stops once the first plan fails or tests more than
+/// `budget` sequences in it, so its work depends on the candidate and the
+/// budget alone. Merging the tallies in root order up to the root where the
+/// first plan fails or outgrows the budget reproduces each plan's own
+/// enumeration, its count *and* the walk's accounting exactly: the roots
+/// before it contribute their whole subtrees, it contributes its walk up to
+/// where it stopped, and later roots — which the sequential walk never
+/// reaches — are discarded unread.
+fn walk_tree(
+    (source_schema, target_schema): (&Schema, &Schema),
+    served: &[Served<'_>],
+    roots: &[Root],
+    length: usize,
+    budget: usize,
+    token: Option<&CancelToken>,
+    snap: &mut SnapStats,
+) -> (Tally, bool) {
+    let base = length.min(PREFIX_CACHE_DEPTH);
+    // Walks the `length - base` levels below one root and hands back the
+    // walk's tally and accounting. An unchanged root's sequences are
+    // counted instead.
     let blank = snap.fresh();
-    let walk_root = |root: &Root,
-                     cap: Option<usize>,
-                     counter: &mut usize,
-                     cancel: Option<(&StopCtx, usize)>|
-     -> (Search, SnapStats) {
+    let walk_root = |root: &Root, cancel: Option<(&StopCtx, usize)>| -> RootRun {
+        let mut tally = Tally::new(served.len());
         if root.unchanged {
-            let sequences = plan.sequences(length - root.len);
-            return (count_agreed(sequences, cap, counter), blank);
+            tally.count_agreed(served, length - root.len);
+            return (tally, None, blank);
         }
         let mut path = Vec::with_capacity(length);
         path.extend_from_slice(&root.path[..root.len]);
         let mut dfs = Dfs {
-            plan,
-            target,
-            cap,
-            sequences_tested: counter,
+            plans: served,
+            tally,
+            budget,
             path,
             cancel,
             token,
@@ -1527,62 +1751,51 @@ fn search_plan(
             src: WorkState::from_snapshot(&root.src, source_schema),
             tgt: WorkState::from_snapshot(&root.tgt, target_schema),
         };
-        let search = dfs.walk(length - base);
+        let halt = dfs.walk(length - base).err();
         fold_snapshot_peak(dfs.snap.peak);
-        (search, dfs.snap)
+        (dfs.tally, halt, dfs.snap)
     };
-
-    let workers = parpool::thread_limit();
-    let leaves_estimate = plan.sequences(length);
-    // The sequence cap is a single global budget: splitting it across
-    // workers would change which sequence exhausts it, so capped checks run
-    // sequentially (they are bounded by construction anyway).
-    let parallel = config.max_sequences.is_none()
-        && length >= 1
-        && fanout >= 2
-        && workers > 1
-        && leaves_estimate >= PARALLEL_LEAF_THRESHOLD;
-
-    if !parallel {
-        for root in &roots {
-            let (search, root_snap) = walk_root(root, config.max_sequences, sequences_tested, None);
-            snap.absorb(&root_snap);
-            if !matches!(search, Search::Exhausted) {
-                return search;
-            }
-        }
-        return Search::Exhausted;
-    }
-
-    let results = parpool::par_map_stop(
-        &roots,
-        |task_index, root, ctx| {
-            let mut count = 0usize;
-            let (search, root_snap) = walk_root(root, None, &mut count, Some((ctx, task_index)));
-            (search, count, root_snap)
-        },
-        // A token cancellation is a stopping result too: it makes the whole
-        // check moot, so still-queued roots are skipped instead of started.
-        |(search, _, _)| matches!(search, Search::Counterexample(_) | Search::Cancelled),
-    );
+    let leaves = served.iter().fold(0usize, |leaves, (plan, _)| {
+        leaves.saturating_add(plan.sequences(length))
+    });
+    // Inline, the roots are walked lazily, so the merge's early exit stops
+    // the walk too.
+    let runs: Box<dyn Iterator<Item = RootRun>> =
+        if roots.len() >= 2 && parpool::thread_limit() > 1 && leaves >= PARALLEL_LEAF_THRESHOLD {
+            // A token cancellation is a stopping result too: it makes the whole
+            // check moot, so still-queued roots are skipped instead of started.
+            let stops = |(_, halt, _): &RootRun| {
+                matches!(halt, Some(Halt::Decided | Halt::Capped | Halt::Cancelled))
+            };
+            let runs = parpool::par_map_stop(
+                roots,
+                |index, root, ctx| walk_root(root, Some((ctx, index))),
+                stops,
+            );
+            Box::new(runs.into_iter().map_while(|run| run))
+        } else {
+            Box::new(roots.iter().map(|root| walk_root(root, None)))
+        };
 
     // Index-ordered merge: byte-identical to the sequential left-to-right
     // walk with early exit (see the parpool stop contract).
-    for result in results {
-        let Some((search, count, root_snap)) = result else {
-            break;
-        };
-        *sequences_tested += count;
+    // A capped root has outgrown the budget on its own, so the merge stops
+    // at it or at an earlier root.
+    let mut total = Tally::new(served.len());
+    for (tally, halt, root_snap) in runs {
         snap.absorb(&root_snap);
-        match search {
-            Search::Exhausted => {}
-            Search::Counterexample(sequence) => return Search::Counterexample(sequence),
-            Search::CapHit => unreachable!("root tasks run uncapped"),
-            Search::Cancelled => return Search::Cancelled,
-            Search::Aborted => unreachable!("merge stops before aborted roots"),
+        total.absorb(tally);
+        match halt {
+            None | Some(Halt::Capped) => {}
+            Some(Halt::Decided) => break,
+            Some(Halt::Cancelled) => return (total, true),
+            Some(Halt::Aborted) => unreachable!("merge stops before aborted roots"),
+        }
+        if total.tested[0] > budget {
+            break;
         }
     }
-    Search::Exhausted
+    (total, false)
 }
 
 /// The walk's working instance: a borrow of the (shared) root snapshot
@@ -1685,13 +1898,18 @@ impl Frame {
     }
 }
 
-/// Depth-first walker over the update-call tree of one query plan.
+/// Depth-first walker below one root of an update tree, serving the plans
+/// of one tree walk.
 struct Dfs<'a> {
-    plan: &'a InternedPlan,
-    target: &'a TargetPlans,
-    cap: Option<usize>,
-    sequences_tested: &'a mut usize,
-    /// Indices into the plan's update calls for the current prefix, used to
+    /// The plans served, in plan order. They share their update calls, so
+    /// the first one's are executed for all of them.
+    plans: &'a [Served<'a>],
+    tally: Tally,
+    /// What is left of [`TestConfig::max_sequences`] for the first plan
+    /// (`usize::MAX` without a cap): the walk stops once that plan has
+    /// tested more, because the merge stops the check there.
+    budget: usize,
+    /// Indices into the tree's update calls for the current prefix, used to
     /// materialize the [`InvocationSequence`] only when a counterexample is
     /// actually found.
     path: Vec<usize>,
@@ -1721,7 +1939,7 @@ const TOKEN_POLL_INTERVAL: usize = 256;
 
 impl Dfs<'_> {
     /// Returns `true` if this walker belongs to a parallel root task that a
-    /// lower-index counterexample has made irrelevant.
+    /// lower-index root's stopping result has made irrelevant.
     fn cancelled(&self) -> bool {
         match self.cancel {
             Some((ctx, index)) => ctx.cancelled(index),
@@ -1741,27 +1959,29 @@ impl Dfs<'_> {
     }
 
     /// Visits every sequence with exactly `depth` more update calls below
-    /// the current working states. Children are visited in `update_calls`
-    /// order and queries in `query_calls` order, which makes the leaf
-    /// enumeration order identical to the naive odometer's.
+    /// the current working states, for every undecided plan. Children are
+    /// visited in update-call order, and at a leaf the plans in plan order,
+    /// each with its queries in order, which makes each plan's own leaf
+    /// enumeration identical to the naive odometer's.
     ///
     /// Updates execute in place; every child edge is reverted before the
-    /// loop advances **or** a non-exhausted result propagates, so the
-    /// working states are back at this node's state on every exit path.
-    /// A child whose call changed neither side is counted, not walked (see
+    /// loop advances **or** a halt propagates, so the working states are
+    /// back at this node's state on every exit path. A child whose call
+    /// changed neither side is counted, not walked (see
     /// [`compare_with_oracle`]); below a node where both sides have failed,
-    /// every call is such a call.
-    fn walk(&mut self, depth: usize) -> Search {
+    /// every call is such a call. After each child the walk stops if the
+    /// first plan has tested more sequences than its budget.
+    fn walk(&mut self, depth: usize) -> Result<(), Halt> {
         if self.cancelled() {
-            return Search::Aborted;
+            return Err(Halt::Aborted);
         }
         if self.interrupted() {
-            return Search::Cancelled;
+            return Err(Halt::Cancelled);
         }
         if depth == 0 {
             return self.leaves();
         }
-        let (plan, target) = (self.plan, self.target);
+        let (plan, target) = self.plans[0];
         for i in 0..plan.calls.update_calls.len() {
             let src_frame = apply_in_place(&plan.src_updates[i], &mut self.src, &mut self.snap);
             let tgt_frame = apply_in_place(&target.updates[i], &mut self.tgt, &mut self.snap);
@@ -1771,66 +1991,68 @@ impl Dfs<'_> {
                 self.path.pop();
                 result
             } else {
-                let sequences = plan.sequences(depth - 1);
-                count_agreed(sequences, self.cap, self.sequences_tested)
+                self.tally.count_agreed(self.plans, depth - 1);
+                Ok(())
             };
             revert_frame(tgt_frame, &mut self.tgt, &mut self.snap);
             revert_frame(src_frame, &mut self.src, &mut self.snap);
-            if !matches!(result, Search::Exhausted) {
-                return result;
+            result?;
+            if self.tally.tested[0] > self.budget {
+                return Err(Halt::Capped);
             }
         }
-        Search::Exhausted
+        Ok(())
     }
 
-    /// Runs (and counts) all query calls against the two working states.
-    fn leaves(&mut self) -> Search {
-        let (plan, target) = (self.plan, self.target);
-        for qi in 0..plan.calls.query_calls.len() {
-            if let Some(cap) = self.cap {
-                if *self.sequences_tested >= cap {
-                    return Search::CapHit;
-                }
-            }
-            *self.sequences_tested += 1;
-            if self.src.failed.is_some() && self.tgt.failed.is_some() {
+    /// Runs (and counts) every undecided plan's query calls against the two
+    /// working states. A plan that fails here is decided, and drops the
+    /// plans after it.
+    fn leaves(&mut self) -> Result<(), Halt> {
+        let plans = self.plans;
+        let both_failed = self.src.failed.is_some() && self.tgt.failed.is_some();
+        for (served, &(plan, target)) in plans[..self.tally.live()].iter().enumerate() {
+            if both_failed {
                 // Both prefixes already failed: the outcomes agree whatever
                 // the query is, no need to even materialize the sequence.
+                self.tally.tested[served] += plan.calls.query_calls.len();
                 continue;
             }
-            self.snap.src_queries += 1;
-            let src_outcome = work_outcome(&plan.src_queries[qi], &self.src);
-            let tgt_outcome = work_outcome(&target.queries[qi], &self.tgt);
-            if !outcomes_agree(&src_outcome, &tgt_outcome) {
-                // Materialize the failing sequence only now, on the cold
-                // path: the hot path never clones calls.
-                let updates: Vec<Call> = self
-                    .path
-                    .iter()
-                    .map(|&i| plan.calls.update_calls[i].clone())
-                    .collect();
-                let sequence = InvocationSequence::new(updates, plan.calls.query_calls[qi].clone());
-                return Search::Counterexample(sequence);
+            for qi in 0..plan.calls.query_calls.len() {
+                self.tally.tested[served] += 1;
+                self.snap.src_queries += 1;
+                let src_outcome = work_outcome(&plan.src_queries[qi], &self.src);
+                let tgt_outcome = work_outcome(&target.queries[qi], &self.tgt);
+                if !outcomes_agree(&src_outcome, &tgt_outcome) {
+                    self.tally.failure = Some(Failure {
+                        plan: served,
+                        path: self.path.as_slice().into(),
+                        query: qi,
+                    });
+                    return if served == 0 {
+                        Err(Halt::Decided)
+                    } else {
+                        Ok(())
+                    };
+                }
             }
         }
-        Search::Exhausted
+        Ok(())
     }
 }
 
-/// Counts `sequences` sequences that all agree without running them,
-/// honoring the sequence budget `cap` exactly as if they had been enumerated
-/// one by one: [`Search::CapHit`], with the budget spent, when they do not
-/// all fit in what is left of it.
-fn count_agreed(sequences: u128, cap: Option<usize>, sequences_tested: &mut usize) -> Search {
+/// Spends `sequences` sequences, in enumeration order, of the budget `cap`:
+/// `false`, with the budget spent, when they do not all fit in what is left
+/// of it — the check then stops where enumerating them one by one would
+/// have.
+fn spend(sequences: usize, cap: Option<usize>, sequences_tested: &mut usize) -> bool {
     if let Some(cap) = cap {
-        let remaining = cap.saturating_sub(*sequences_tested) as u128;
-        if sequences > remaining {
+        if sequences > cap.saturating_sub(*sequences_tested) {
             *sequences_tested = cap;
-            return Search::CapHit;
+            return false;
         }
     }
-    *sequences_tested += sequences as usize;
-    Search::Exhausted
+    *sequences_tested += sequences;
+    true
 }
 
 /// Executes one (pre-resolved, pre-bound) update call **in place** on a
@@ -2024,11 +2246,7 @@ pub fn compare_programs_naive(
             loop {
                 // Materialize the current prefix of update calls.
                 if length == 0 || !plan.update_calls.is_empty() {
-                    let updates: Vec<Call> = prefix_indices
-                        .iter()
-                        .map(|&i| plan.update_calls[i].clone())
-                        .collect();
-                    for query_call in &plan.query_calls {
+                    for query in 0..plan.query_calls.len() {
                         if let Some(cap) = config.max_sequences {
                             if sequences_tested >= cap {
                                 return EquivalenceReport {
@@ -2041,7 +2259,7 @@ pub fn compare_programs_naive(
                             }
                         }
                         sequences_tested += 1;
-                        let sequence = InvocationSequence::new(updates.clone(), query_call.clone());
+                        let sequence = plan.sequence(&prefix_indices, query);
                         let lhs = observe(source, source_schema, &sequence);
                         let rhs = observe(target, target_schema, &sequence);
                         if !outcomes_agree(&lhs, &rhs) {
@@ -2397,23 +2615,22 @@ mod tests {
         assert_eq!((again, walked), (changed, 0));
     }
 
+    /// The text of [`quiet_program`].
+    const QUIET: &str = "update add(id: int, newName: string)
+             INSERT INTO User VALUES (uid: id, name: newName);
+         update remove(id: int)
+             DELETE User FROM User WHERE uid = id;
+         update rename(id: int, newName: string)
+             UPDATE User SET name = newName WHERE uid = id;
+         query get(id: int)
+             SELECT name FROM User WHERE uid = id;";
+
     /// A program whose delete and update find no rows from the empty
     /// database, with one seed per type: the update calls are `a` (an
     /// insert), `d` (a delete) and `r` (a rename), and `get(0)` is the
     /// only query call.
     fn quiet_program() -> Program {
-        crate::parser::parse_program(
-            "update add(id: int, newName: string)
-                 INSERT INTO User VALUES (uid: id, name: newName);
-             update remove(id: int)
-                 DELETE User FROM User WHERE uid = id;
-             update rename(id: int, newName: string)
-                 UPDATE User SET name = newName WHERE uid = id;
-             query get(id: int)
-                 SELECT name FROM User WHERE uid = id;",
-            &schema(),
-        )
-        .unwrap()
+        crate::parser::parse_program(QUIET, &schema()).unwrap()
     }
 
     fn quiet_config() -> TestConfig {
@@ -2452,6 +2669,128 @@ mod tests {
         assert_eq!(report.sequences_tested, 1 + 3 + 9 + 27);
         assert_eq!(oracle.computes(), 12);
         assert_eq!(profile.undo_frames, 18);
+    }
+
+    /// A cap bounds the walk, not only the count. Lengths 0 to 2 spend
+    /// 1 + 3 + 9 sequences, so at length 3 a cap of 14 leaves one: the walk
+    /// below the root `aa` stops once its second child, `aa·d`, has tested
+    /// a second sequence, after 4 journaled executions. A cap of 17 leaves
+    /// four: `aa` walks its three children, and the merge stops after the
+    /// root `ad` takes the count to six, before `ar` is walked.
+    #[test]
+    fn a_cap_stops_the_walk_where_it_falls() {
+        let (program, schema) = (quiet_program(), schema());
+        for (cap, computes, undo_frames) in [(14, 5 + 2, 4), (17, 5 + 4, 12)] {
+            let config = TestConfig {
+                max_sequences: Some(cap),
+                ..quiet_config()
+            };
+            let oracle = SourceOracle::new(&program, &schema);
+            let mut profile = CheckProfile::default();
+            let report = compare_with_oracle(
+                &oracle,
+                &program,
+                &schema,
+                &config,
+                None,
+                Some(&mut profile),
+                None,
+            );
+            let naive = compare_programs_naive(&program, &schema, &program, &schema, &config);
+            assert_eq!(report, naive, "cap {cap}");
+            assert_eq!(report.sequences_tested, cap);
+            assert!(!report.bound_exhausted);
+            assert_eq!(oracle.computes(), computes, "cap {cap}");
+            assert_eq!(profile.undo_frames, undo_frames, "cap {cap}");
+        }
+    }
+
+    /// Two queries on one update tree: at length 3 one walk below each root
+    /// serves both plans, so each update call is journaled once per tree
+    /// node, not once per plan. That is the 18 journaled executions of
+    /// `get` alone (see `calls_that_change_neither_side_are_counted_not_walked`),
+    /// where a walk per plan would journal 36, while each plan still tests
+    /// and evaluates its own 40 sequences and 12 leaves.
+    #[test]
+    fn plans_on_one_tree_share_its_walk() {
+        let (schema, config) = (schema(), quiet_config());
+        let text = format!(
+            "{QUIET}
+             query named(newName: string)
+                 SELECT uid FROM User WHERE name = newName;"
+        );
+        let program = crate::parser::parse_program(&text, &schema).unwrap();
+        let oracle = SourceOracle::new(&program, &schema);
+        let mut profile = CheckProfile::default();
+        let report = compare_with_oracle(
+            &oracle,
+            &program,
+            &schema,
+            &config,
+            None,
+            Some(&mut profile),
+            None,
+        );
+        let naive = compare_programs_naive(&program, &schema, &program, &schema, &config);
+        assert_eq!(report, naive);
+        assert_eq!(report.sequences_tested, 2 * (1 + 3 + 9 + 27));
+        assert_eq!(oracle.computes(), 2 * 12);
+        assert_eq!(profile.undo_frames, 18);
+    }
+
+    /// `getUid` and `getName` share the tree of `add`, `mark` and `promote`;
+    /// `getLabel`, between them in plan order, has the tree of `tag`,
+    /// `markTag` and `promoteTag`. The candidate's `promote` and
+    /// `promoteTag` write `"D"` where the source's write `"C"`, which only
+    /// an add, a mark and a promote in a row show. At length 3 the walk of
+    /// the first tree, started for `getUid`, finds `getName`'s
+    /// counterexample before `getLabel`'s tree is walked; the report must
+    /// still carry `getLabel`'s, and the naive engine's count.
+    #[test]
+    fn a_later_plan_failing_first_on_a_shared_tree_does_not_win() {
+        let schema = Schema::parse(
+            "User(uid: int, name: string)\n\
+             Tag(tid: int, label: string)",
+        )
+        .unwrap();
+        let program = |promoted: &str| {
+            crate::parser::parse_program(
+                &format!(
+                    "update add(id: int) INSERT INTO User VALUES (uid: id, name: \"A\");
+                     update mark(id: int) UPDATE User SET name = \"B\" WHERE uid = id;
+                     update promote() UPDATE User SET name = \"{promoted}\" WHERE name = \"B\";
+                     update tag(id: int) INSERT INTO Tag VALUES (tid: id, label: \"A\");
+                     update markTag(id: int) UPDATE Tag SET label = \"B\" WHERE tid = id;
+                     update promoteTag() UPDATE Tag SET label = \"{promoted}\" WHERE label = \"B\";
+                     query getUid(id: int) SELECT uid FROM User WHERE uid = id;
+                     query getLabel(id: int) SELECT label FROM Tag WHERE tid = id;
+                     query getName(id: int) SELECT name FROM User WHERE uid = id;"
+                ),
+                &schema,
+            )
+            .unwrap()
+        };
+        let (source, candidate) = (program("C"), program("D"));
+        let config = TestConfig {
+            max_updates: 3,
+            ..TestConfig::default()
+        };
+        let report = compare_programs(&source, &schema, &candidate, &schema, &config);
+        let naive = compare_programs_naive(&source, &schema, &candidate, &schema, &config);
+        assert_eq!(report, naive);
+        let call = |function: &str, args: Vec<Value>| Call::new(function, args);
+        let zero = || vec![Value::Int(0)];
+        assert_eq!(
+            report.counterexample,
+            Some(InvocationSequence::new(
+                vec![
+                    call("tag", zero()),
+                    call("markTag", zero()),
+                    call("promoteTag", vec![]),
+                ],
+                call("getLabel", zero()),
+            ))
+        );
     }
 
     /// `add(id)` inserts `(id, "A")`, `mark(id)` renames it to `"B"` and
@@ -2548,7 +2887,7 @@ mod tests {
             assert_eq!(sequential.0, naive);
             let (report, _, computes) = sequential;
             if report.equivalent {
-                assert!(report.sequences_tested as u128 > PARALLEL_LEAF_THRESHOLD);
+                assert!(report.sequences_tested > PARALLEL_LEAF_THRESHOLD);
                 assert!(
                     computes < report.sequences_tested,
                     "some calls were counted"
@@ -2781,7 +3120,10 @@ mod tests {
             let q = make_program(rhs);
             for config in [
                 TestConfig::default(),
-                TestConfig::quick(),
+                TestConfig {
+                    max_updates: 1,
+                    ..TestConfig::default()
+                },
                 TestConfig {
                     max_sequences: Some(7),
                     ..TestConfig::default()
@@ -2856,6 +3198,5 @@ mod tests {
     #[test]
     fn thorough_config_is_deeper_than_default() {
         assert!(TestConfig::thorough().max_updates > TestConfig::default().max_updates);
-        assert!(TestConfig::quick().max_updates <= TestConfig::default().max_updates);
     }
 }

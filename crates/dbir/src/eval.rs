@@ -14,7 +14,6 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-use std::collections::HashMap;
 use std::collections::HashSet;
 
 use crate::ast::{CmpOp, Function, FunctionBody, JoinChain, Operand, Pred, Query, Update};
@@ -248,31 +247,7 @@ impl<'a> Evaluator<'a> {
                     .ok_or_else(|| Error::UnknownAttribute(right_attr.to_string()))?;
                 let mut columns = lrel.columns.clone();
                 columns.extend(rrel.columns.iter().cloned());
-                // Hash join: index the build (right) side on the join key,
-                // probe with the left rows. Indices per key preserve right-row
-                // order, so the output row order matches the nested loop this
-                // replaces. NULL keys never match.
-                let mut build: HashMap<&Value, Vec<usize>> = HashMap::new();
-                for (i, rrow) in rrel.rows.iter().enumerate() {
-                    if !rrow[ri].is_null() {
-                        build.entry(&rrow[ri]).or_default().push(i);
-                    }
-                }
-                let mut rows = Vec::new();
-                for lrow in &lrel.rows {
-                    if lrow[li].is_null() {
-                        continue;
-                    }
-                    if let Some(matches) = build.get(&lrow[li]) {
-                        for &i in matches {
-                            let rrow = &rrel.rows[i];
-                            let mut row = Vec::with_capacity(lrow.len() + rrow.len());
-                            row.extend(lrow.iter().cloned());
-                            row.extend(rrow.iter().cloned());
-                            rows.push(row);
-                        }
-                    }
-                }
+                let rows = join_rows(&lrel.rows, &rrel.rows, li, ri);
                 Ok(Relation { columns, rows })
             }
         }
@@ -477,7 +452,8 @@ pub(crate) enum RowsPlan {
         /// The scanned table.
         table: TableName,
     },
-    /// Hash equi-join of two sub-plans on pre-resolved key columns.
+    /// Nested-loop equi-join of two sub-plans on pre-resolved key columns
+    /// (see [`join_rows`]).
     Join {
         left: Box<RowsPlan>,
         right: Box<RowsPlan>,
@@ -688,6 +664,30 @@ fn prepare_pred_plan(
     })
 }
 
+/// Equi-joins `left` and `right` on their columns `li` and `ri` with a
+/// nested loop: each left row, in order, followed by its matches in
+/// right-row order. NULL keys never match.
+///
+/// Bounded testing runs joins over the few rows a short prefix of update
+/// calls inserted, millions of times. A hash table built per execution
+/// costs more there than the comparisons it saves, so there is none.
+fn join_rows(left: &[Tuple], right: &[Tuple], li: usize, ri: usize) -> Vec<Tuple> {
+    let mut rows = Vec::new();
+    for lrow in left {
+        let key = &lrow[li];
+        if key.is_null() {
+            continue;
+        }
+        for rrow in right.iter().filter(|rrow| rrow[ri] == *key) {
+            let mut row = Vec::with_capacity(lrow.len() + rrow.len());
+            row.extend_from_slice(lrow);
+            row.extend_from_slice(rrow);
+            rows.push(row);
+        }
+    }
+    rows
+}
+
 /// Executes a compiled plan against an instance, returning bare rows.
 ///
 /// Scans borrow the instance's rows directly (`Cow::Borrowed`), so a
@@ -707,28 +707,7 @@ pub(crate) fn exec_rows_plan<'i>(
         } => {
             let lrows = exec_rows_plan(left, instance)?;
             let rrows = exec_rows_plan(right, instance)?;
-            let mut build: HashMap<&Value, Vec<usize>> = HashMap::new();
-            for (i, rrow) in rrows.iter().enumerate() {
-                if !rrow[*ri].is_null() {
-                    build.entry(&rrow[*ri]).or_default().push(i);
-                }
-            }
-            let mut rows = Vec::new();
-            for lrow in lrows.iter() {
-                if lrow[*li].is_null() {
-                    continue;
-                }
-                if let Some(matches) = build.get(&lrow[*li]) {
-                    for &i in matches {
-                        let rrow = &rrows[i];
-                        let mut row = Vec::with_capacity(lrow.len() + rrow.len());
-                        row.extend(lrow.iter().cloned());
-                        row.extend(rrow.iter().cloned());
-                        rows.push(row);
-                    }
-                }
-            }
-            Ok(Cow::Owned(rows))
+            Ok(Cow::Owned(join_rows(&lrows, &rrows, *li, *ri)))
         }
         RowsPlan::Filter { input, pred } => {
             let rows = exec_rows_plan(input, instance)?;
@@ -2140,45 +2119,64 @@ mod tests {
         );
     }
 
+    /// Duplicate and NULL join keys: the interpreter, a compiled query and
+    /// a compiled join-driven delete all join left-major, each left row
+    /// followed by its matches in right-row order, and a NULL key matches
+    /// nothing, not even another NULL.
     #[test]
-    fn hash_join_preserves_nested_loop_row_order() {
-        // Duplicate keys on both sides: the output must enumerate left rows
-        // in order, each matched with right rows in their original order.
+    fn joins_are_left_major_nested_loops_over_duplicate_and_null_keys() {
         let schema = car_schema();
         let mut instance = Instance::empty(&schema);
-        for (cid, model) in [(1, "A1"), (2, "B"), (1, "A2")] {
+        for (cid, model) in [
+            (Value::Int(1), "A1"),
+            (Value::Null, "N"),
+            (Value::Int(2), "B"),
+            (Value::Int(1), "A2"),
+        ] {
             instance.insert(
                 &"Car".into(),
-                vec![Value::Int(cid), Value::str(model), Value::Int(2020)],
+                vec![cid, Value::str(model), Value::Int(2020)],
             );
         }
-        for (name, cid) in [("p1", 1), ("p2", 1)] {
-            instance.insert(
-                &"Part".into(),
-                vec![Value::str(name), Value::Int(0), Value::Int(cid)],
-            );
+        for (name, cid) in [
+            ("p1", Value::Int(1)),
+            ("pn", Value::Null),
+            ("p2", Value::Int(1)),
+            ("p3", Value::Int(3)),
+        ] {
+            instance.insert(&"Part".into(), vec![Value::str(name), Value::Int(0), cid]);
         }
+        let pairs = |rows: &[Tuple]| -> Vec<(&str, &str)> {
+            rows.iter()
+                .map(|r| (r[1].as_str().unwrap(), r[3].as_str().unwrap()))
+                .collect()
+        };
+        let expected = [("A1", "p1"), ("A1", "p2"), ("A2", "p1"), ("A2", "p2")];
         let mut eval = Evaluator::new(&schema);
-        let rel = eval.eval_join(&car_part_join(), &instance).unwrap();
-        let pairs: Vec<(String, String)> = rel
-            .rows
-            .iter()
-            .map(|r| match (&r[1], &r[3]) {
-                (Value::Str(model), Value::Str(part)) => {
-                    (model.as_str().to_string(), part.as_str().to_string())
-                }
-                other => panic!("unexpected row {other:?}"),
-            })
-            .collect();
-        assert_eq!(
-            pairs,
-            vec![
-                ("A1".into(), "p1".into()),
-                ("A1".into(), "p2".into()),
-                ("A2".into(), "p1".into()),
-                ("A2".into(), "p2".into()),
-            ]
-        );
+        let interpreted = eval.eval_join(&car_part_join(), &instance).unwrap();
+        assert_eq!(pairs(&interpreted.rows), expected);
+        let query = Query::Join(car_part_join());
+        let compiled = CompiledQuery::compile(&schema, &query, &Env::new()).unwrap();
+        assert_eq!(pairs(&compiled.execute(&instance).unwrap()), expected);
+
+        // del([Car, Part], Car ⋈ Part, true) deletes exactly the joined
+        // rows: the NULL-keyed and unmatched ones stay, in their order.
+        let delete = Update::Delete {
+            tables: vec!["Car".into(), "Part".into()],
+            join: car_part_join(),
+            pred: Pred::True,
+        };
+        let compiled = CompiledUpdate::compile(&schema, &delete, &Env::new()).unwrap();
+        compiled.execute(&mut instance, 0).unwrap();
+        let column = |table: &str, index: usize| -> Vec<&str> {
+            instance
+                .rows(&table.into())
+                .iter()
+                .map(|row| row[index].as_str().unwrap())
+                .collect()
+        };
+        assert_eq!(column("Car", 1), ["N", "B"]);
+        assert_eq!(column("Part", 0), ["pn", "p3"]);
     }
 
     #[test]

@@ -50,6 +50,11 @@ struct ProgramShape {
     /// 3 → uid IN (SELECT owner FROM Tag),
     /// 4 → name = "A" (an interned string constant).
     predicate: u8,
+    /// A second `User` query, `getNamed(name)`, declared after `getDoc`:
+    /// 0 → none, 1 → it projects uid, 2 → it projects name. Its plan shares
+    /// an update tree with `getUser`'s whenever their relevance closures
+    /// agree, and `getDoc`'s plan lies between the two.
+    named: u8,
 }
 
 fn build_program(shape: &ProgramShape) -> Program {
@@ -105,31 +110,6 @@ fn build_program(shape: &ProgramShape) -> Program {
             QualifiedAttr::new("User", "name"),
         ],
     };
-    if shape.with_docs {
-        functions.push(Function::update(
-            "attachDoc",
-            vec![
-                Param::new("owner", DataType::Int),
-                Param::new("data", DataType::Binary),
-            ],
-            Update::Insert {
-                join: JoinChain::table("Doc"),
-                values: vec![
-                    (QualifiedAttr::new("Doc", "owner"), Operand::param("owner")),
-                    (QualifiedAttr::new("Doc", "data"), Operand::param("data")),
-                ],
-            },
-        ));
-        functions.push(Function::query(
-            "getDoc",
-            vec![Param::new("owner", DataType::Int)],
-            Query::select(
-                vec![QualifiedAttr::new("Doc", "data")],
-                Pred::eq_value(QualifiedAttr::new("Doc", "owner"), Operand::param("owner")),
-                JoinChain::table("Doc"),
-            ),
-        ));
-    }
     let pred = match shape.predicate % 5 {
         0 => Pred::eq_value(QualifiedAttr::new("User", "uid"), Operand::param("uid")),
         1 => Pred::CmpValue {
@@ -156,20 +136,60 @@ fn build_program(shape: &ProgramShape) -> Program {
         vec![Param::new("uid", DataType::Int)],
         Query::select(projected, pred, JoinChain::table("User")),
     ));
+    if shape.with_docs {
+        functions.push(Function::update(
+            "attachDoc",
+            vec![
+                Param::new("owner", DataType::Int),
+                Param::new("data", DataType::Binary),
+            ],
+            Update::Insert {
+                join: JoinChain::table("Doc"),
+                values: vec![
+                    (QualifiedAttr::new("Doc", "owner"), Operand::param("owner")),
+                    (QualifiedAttr::new("Doc", "data"), Operand::param("data")),
+                ],
+            },
+        ));
+        functions.push(Function::query(
+            "getDoc",
+            vec![Param::new("owner", DataType::Int)],
+            Query::select(
+                vec![QualifiedAttr::new("Doc", "data")],
+                Pred::eq_value(QualifiedAttr::new("Doc", "owner"), Operand::param("owner")),
+                JoinChain::table("Doc"),
+            ),
+        ));
+    }
+    let named = match shape.named % 3 {
+        0 => None,
+        1 => Some("uid"),
+        _ => Some("name"),
+    };
+    if let Some(projected) = named {
+        functions.push(Function::query(
+            "getNamed",
+            vec![Param::new("name", DataType::String)],
+            Query::select(
+                vec![QualifiedAttr::new("User", projected)],
+                Pred::eq_value(QualifiedAttr::new("User", "name"), Operand::param("name")),
+                JoinChain::table("User"),
+            ),
+        ));
+    }
     Program::new(functions)
 }
 
 fn shape_strategy() -> impl Strategy<Value = ProgramShape> {
     (
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        0u8..3,
-        0u8..5,
+        (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        (0u8..3, 0u8..5, 0u8..3),
     )
         .prop_map(
-            |(honest_insert, with_delete, with_tag_update, with_docs, projection, predicate)| {
+            |(
+                (honest_insert, with_delete, with_tag_update, with_docs),
+                (projection, predicate, named),
+            )| {
                 ProgramShape {
                     honest_insert,
                     with_delete,
@@ -177,6 +197,7 @@ fn shape_strategy() -> impl Strategy<Value = ProgramShape> {
                     with_docs,
                     projection,
                     predicate,
+                    named,
                 }
             },
         )
@@ -199,16 +220,18 @@ fn config_strategy() -> impl Strategy<Value = TestConfig> {
         })
 }
 
-/// `config` with a bound of 5 or 6 preceding updates (`depth` 1 or 2;
-/// `depth` 0 keeps it as it is), one argument combination per function and
-/// no sequence cap, so the walk reaches sequences of 6 and 7 calls while
-/// staying a few thousand sequences small.
+/// `config` with a bound of `2 + depth` preceding updates (`depth` 0 keeps
+/// it as it is), one argument combination per function and no sequence
+/// cap. A bound of 3 or more takes the walk above the prefix cache's depth,
+/// where one walk per update tree serves several plans, and a bound of 5 or
+/// 6 reaches sequences of 6 and 7 calls, while the checks stay a few
+/// thousand sequences small.
 fn deepened(config: TestConfig, depth: usize) -> TestConfig {
     if depth == 0 {
         return config;
     }
     TestConfig {
-        max_updates: 4 + depth,
+        max_updates: 2 + depth,
         max_arg_combinations: Some(1),
         max_sequences: None,
         ..config
@@ -220,24 +243,31 @@ proptest! {
 
     /// The prefix-shared engine and the naive reference produce identical
     /// reports: same verdict, same minimum failing input, same sequence
-    /// accounting, same bound-exhaustion flag.
+    /// accounting, same bound-exhaustion flag. Bounds of up to 5 updates,
+    /// capped or not, at a thread budget of one and of four.
     #[test]
     fn engines_agree_on_random_programs(
         source_shape in shape_strategy(),
         target_shape in shape_strategy(),
         config in config_strategy(),
+        depth in 0usize..4,
     ) {
+        let config = TestConfig { max_sequences: config.max_sequences, ..deepened(config, depth) };
         let schema = schema();
         let source = build_program(&source_shape);
         let target = build_program(&target_shape);
-        let fast = compare_programs(&source, &schema, &target, &schema, &config);
         let slow = compare_programs_naive(&source, &schema, &target, &schema, &config);
-        prop_assert_eq!(
-            &fast, &slow,
-            "engines diverged\nsource: {:?}\ntarget: {:?}\nconfig: {:?}",
-            source_shape, target_shape, config
-        );
-        if let Some(cex) = &fast.counterexample {
+        for threads in [1, 4] {
+            parpool::set_thread_limit(threads);
+            let fast = compare_programs(&source, &schema, &target, &schema, &config);
+            prop_assert_eq!(
+                &fast, &slow,
+                "engines diverged at {} threads\nsource: {:?}\ntarget: {:?}\nconfig: {:?}",
+                threads, source_shape, target_shape, config
+            );
+        }
+        parpool::set_thread_limit(0);
+        if let Some(cex) = &slow.counterexample {
             prop_assert!(cex.updates.len() <= config.max_updates);
         }
     }
@@ -250,7 +280,7 @@ proptest! {
         source_shape in shape_strategy(),
         target_shape in shape_strategy(),
         config in config_strategy(),
-        depth in 0usize..3,
+        depth in 0usize..5,
     ) {
         let config = deepened(config, depth);
         let schema = schema();
@@ -385,102 +415,147 @@ proptest! {
 /// `sequences_tested` — with the thread budget forced above one, and a
 /// check's profile counters (snapshots, copied bytes, undo frames and
 /// rollbacks, plans compiled, prefix-cache hits) must read the same at a
-/// thread budget of one and of four. The configuration is sized so the
-/// estimated subtree (|updates|·combos)^depth · |queries| clears the
-/// engine's parallelism threshold, i.e. the fan-out path genuinely runs (on
-/// any machine, including single-core CI).
+/// thread budget of one and of four. Each configuration is sized so the
+/// leaves of some (tree, length) walk clear the engine's parallelism
+/// threshold, i.e. the fan-out path genuinely runs (on any machine,
+/// including single-core CI):
+///
+/// * without relevance clustering every plan shares one update tree, so
+///   one walk below each root serves all three queries;
+/// * with it, `getUser` and `getNamed` share the tree of `addUser` and
+///   `removeUser`, and `getDoc`'s plan lies between them on a tree of its
+///   own.
+///
+/// A fourth pair is written out: `getUid` and `getName` share the tree of
+/// `add`, `mark` and `promote`, with `getTag`'s plan between them, and the
+/// candidate's `promote` writes another name, which only an add, a mark and
+/// a promote in a row show. So `getName`'s plan fails inside the shared
+/// parallel walk that `getUid`'s plan, which never fails, started.
+///
+/// Each runs uncapped and with a sequence cap that lands inside the last
+/// length.
 #[test]
 fn parallel_walk_matches_naive_reference() {
     let schema = schema();
-    // No relevance clustering: every plan sees every update, which pushes
-    // the per-(plan, depth) fan-out past the engine's parallelism threshold.
-    let config = TestConfig {
+    let shape = ProgramShape {
+        honest_insert: true,
+        with_delete: true,
+        with_tag_update: true,
+        with_docs: true,
+        projection: 0,
+        predicate: 0,
+        named: 1,
+    };
+    let unclustered = TestConfig {
         max_updates: 3,
         int_seeds: vec![0, 1, 2],
         cluster_by_tables: false,
         ..TestConfig::default()
     };
-    for (source_shape, target_shape) in [
+    let clustered = TestConfig {
+        max_updates: 3,
+        int_seeds: vec![0, 1, 2, 3],
+        ..TestConfig::default()
+    };
+    let marking = |promoted: &str| {
+        dbir::parser::parse_program(
+            &format!(
+                "update add(id: int) INSERT INTO User VALUES (uid: id, name: \"A\");
+                 update mark(id: int) UPDATE User SET name = \"B\" WHERE uid = id;
+                 update promote() UPDATE User SET name = \"{promoted}\" WHERE name = \"B\";
+                 update tag(id: int) INSERT INTO Tag VALUES (label: \"A\", owner: id);
+                 query getUid(id: int) SELECT uid FROM User WHERE uid = id;
+                 query getTag(id: int) SELECT label FROM Tag WHERE owner = id;
+                 query getName(id: int) SELECT name FROM User WHERE uid = id;"
+            ),
+            &schema,
+        )
+        .unwrap()
+    };
+    let pairs = [
         // Equivalent pair: the whole bound is enumerated.
-        (
-            ProgramShape {
-                honest_insert: true,
-                with_delete: true,
-                with_tag_update: true,
-                with_docs: true,
-                projection: 0,
-                predicate: 0,
-            },
-            ProgramShape {
-                honest_insert: true,
-                with_delete: true,
-                with_tag_update: true,
-                with_docs: true,
-                projection: 0,
-                predicate: 0,
-            },
-        ),
+        (build_program(&shape), build_program(&shape)),
         // Differing pair: the counterexample and its position must match.
         (
-            ProgramShape {
-                honest_insert: true,
-                with_delete: true,
-                with_tag_update: true,
-                with_docs: true,
-                projection: 0,
-                predicate: 0,
-            },
-            ProgramShape {
+            build_program(&shape),
+            build_program(&ProgramShape {
                 honest_insert: false,
-                with_delete: true,
-                with_tag_update: true,
-                with_docs: true,
                 projection: 2,
                 predicate: 4,
-            },
+                ..shape.clone()
+            }),
         ),
-    ] {
-        let source = build_program(&source_shape);
-        let target = build_program(&target_shape);
-        // A fresh oracle and no caller cache per run; the counters compared
-        // leave out the wall-clock `*_time` fields.
-        let profiled = |threads: usize| {
-            parpool::set_thread_limit(threads);
-            let oracle = SourceOracle::new(&source, &schema);
-            let mut profile = CheckProfile::default();
-            let report = compare_with_oracle(
-                &oracle,
-                &target,
-                &schema,
-                &config,
-                None,
-                Some(&mut profile),
-                None,
-            );
-            let counters = CheckProfile {
-                plan_compile_time: Default::default(),
-                dfs_time: Default::default(),
-                snapshot_time: Default::default(),
-                ..profile
+        // Only the later `User` query differs: `getUser`'s plan, first on
+        // the same tree, never fails.
+        (
+            build_program(&shape),
+            build_program(&ProgramShape {
+                named: 2,
+                ..shape.clone()
+            }),
+        ),
+        (marking("C"), marking("D")),
+    ];
+    for base in [unclustered, clustered] {
+        for (source, target) in &pairs {
+            let uncapped = compare_programs_naive(source, &schema, target, &schema, &base);
+            let capped = TestConfig {
+                max_sequences: Some(uncapped.sequences_tested * 2 / 3),
+                ..base.clone()
             };
-            (report, counters)
-        };
-        let (sequential, sequential_counters) = profiled(1);
-        let (parallel, parallel_counters) = profiled(4);
-        let naive = compare_programs_naive(&source, &schema, &target, &schema, &config);
-        assert_eq!(parallel, naive, "parallel walk diverged from reference");
-        assert_eq!(sequential, naive, "sequential walk diverged from reference");
-        assert_eq!(
-            sequential_counters, parallel_counters,
-            "profile counters depend on the thread count"
-        );
-        if parallel.equivalent {
-            assert!(
-                parallel.sequences_tested > 4096,
-                "test must be big enough to cross the parallelism threshold, got {}",
-                parallel.sequences_tested
-            );
-            assert!(parallel_counters.undo_frames > 0, "the walk ran in place");
+            for config in [&base, &capped] {
+                // A fresh oracle and no caller cache per run; the counters
+                // compared leave out the wall-clock `*_time` fields.
+                let profiled = |threads: usize| {
+                    parpool::set_thread_limit(threads);
+                    let oracle = SourceOracle::new(source, &schema);
+                    let mut profile = CheckProfile::default();
+                    let report = compare_with_oracle(
+                        &oracle,
+                        target,
+                        &schema,
+                        config,
+                        None,
+                        Some(&mut profile),
+                        None,
+                    );
+                    let counters = CheckProfile {
+                        plan_compile_time: Default::default(),
+                        dfs_time: Default::default(),
+                        snapshot_time: Default::default(),
+                        ..profile
+                    };
+                    (report, counters, oracle.computes())
+                };
+                let (sequential, sequential_counters, sequential_computes) = profiled(1);
+                let (parallel, parallel_counters, parallel_computes) = profiled(4);
+                let naive = compare_programs_naive(source, &schema, target, &schema, config);
+                assert_eq!(parallel, naive, "parallel walk diverged under {config:?}");
+                assert_eq!(
+                    sequential, naive,
+                    "sequential walk diverged under {config:?}"
+                );
+                assert_eq!(
+                    (sequential_counters, sequential_computes),
+                    (parallel_counters.clone(), parallel_computes),
+                    "profile counters depend on the thread count under {config:?}"
+                );
+                if parallel.bound_exhausted {
+                    assert!(
+                        parallel.sequences_tested > 4096,
+                        "test must be big enough to cross the parallelism threshold, got {}",
+                        parallel.sequences_tested
+                    );
+                    assert!(parallel_counters.undo_frames > 0, "the walk ran in place");
+                }
+            }
+            if let Some(cex) = &uncapped.counterexample {
+                assert!(
+                    ["getUser", "getNamed"].contains(&cex.query.function.as_str())
+                        || (cex.updates.len(), cex.query.function.as_str()) == (3, "getName"),
+                    "{cex:?}"
+                );
+            }
         }
     }
     // Restore the default so concurrently scheduled tests in this binary
@@ -513,6 +588,7 @@ fn shared_cache_stream_is_thread_count_invariant() {
         with_docs: true,
         projection: 0,
         predicate: 0,
+        named: 1,
     };
     let source = build_program(&shape);
     // Two wrong candidates, the right one, then the first wrong one again
@@ -610,7 +686,7 @@ proptest! {
         source_shape in shape_strategy(),
         stream in proptest::collection::vec(shape_strategy(), 1..4),
         config in config_strategy(),
-        depth in 0usize..2,
+        depth in 0usize..4,
     ) {
         let schema = schema();
         let source = build_program(&source_shape);
@@ -657,6 +733,7 @@ fn a_cap_inside_remembered_subtrees_stops_where_the_walk_would() {
         with_docs: true,
         projection: 2,
         predicate: 3,
+        named: 0,
     });
     let config = TestConfig {
         max_arg_combinations: Some(2),
@@ -708,7 +785,9 @@ fn a_cap_inside_remembered_subtrees_stops_where_the_walk_would() {
 /// Only walks that exhaust their subtree are remembered: for every cap short
 /// of a candidate's counterexample, a capped check leaves the subtree that
 /// holds it to be walked again, so the uncapped check after it through the
-/// same cache still finds the counterexample.
+/// same cache still finds the counterexample. In the second pair it lies at
+/// length 3, inside the walk below the root `add(0)·mark(0)`, so a cap that
+/// falls at that length stops the walk before it.
 #[test]
 fn a_capped_walk_is_not_remembered() {
     let schema = schema();
@@ -719,52 +798,74 @@ fn a_capped_walk_is_not_remembered() {
         with_docs: true,
         projection: 0,
         predicate: 0,
+        named: 0,
     };
-    let source = build_program(&shape);
-    let candidate = build_program(&ProgramShape {
-        predicate: 1,
-        ..shape
-    });
-    let config = TestConfig {
-        max_arg_combinations: Some(2),
-        ..TestConfig::default()
+    let marking = |also: &str| {
+        dbir::parser::parse_program(
+            &format!(
+                "update add(id: int) INSERT INTO User VALUES (uid: id, name: \"A\");
+                 update mark(id: int) UPDATE User SET name = \"B\" WHERE uid = id;
+                 update remove(id: int) DELETE User FROM User WHERE uid = id{also};
+                 query get(id: int) SELECT name FROM User WHERE uid = id;"
+            ),
+            &schema,
+        )
+        .unwrap()
     };
-    let expected = compare_programs_naive(&source, &schema, &candidate, &schema, &config);
-    let cex = expected
-        .counterexample
-        .as_ref()
-        .expect("the candidate differs");
-    assert!(
-        !cex.updates.is_empty(),
-        "the counterexample sits below the root"
-    );
-    for cap in 0..expected.sequences_tested {
-        let capped = TestConfig {
-            max_sequences: Some(cap),
-            ..config.clone()
-        };
-        let oracle = SourceOracle::new(&source, &schema);
-        let mut cache = PrefixCache::new();
-        let stopped = compare_with_oracle(
-            &oracle,
-            &candidate,
-            &schema,
-            &capped,
-            None,
-            None,
-            Some(&mut cache),
+    let pairs = [
+        (
+            build_program(&shape),
+            build_program(&ProgramShape {
+                predicate: 1,
+                ..shape
+            }),
+            TestConfig {
+                max_arg_combinations: Some(2),
+                ..TestConfig::default()
+            },
+        ),
+        (
+            marking(""),
+            marking(" OR name = \"B\""),
+            TestConfig {
+                max_updates: 3,
+                ..TestConfig::default()
+            },
+        ),
+    ];
+    for (source, candidate, config) in &pairs {
+        let expected = compare_programs_naive(source, &schema, candidate, &schema, config);
+        let cex = expected
+            .counterexample
+            .as_ref()
+            .expect("the candidate differs");
+        assert!(
+            !cex.updates.is_empty(),
+            "the counterexample sits below the root"
         );
-        assert!(stopped.equivalent && !stopped.bound_exhausted, "cap {cap}");
-        let full = compare_with_oracle(
-            &oracle,
-            &candidate,
-            &schema,
-            &config,
-            None,
-            None,
-            Some(&mut cache),
-        );
-        assert_eq!(full, expected, "cap {cap}");
+        for cap in 0..expected.sequences_tested {
+            let capped = TestConfig {
+                max_sequences: Some(cap),
+                ..config.clone()
+            };
+            let oracle = SourceOracle::new(source, &schema);
+            let mut cache = PrefixCache::new();
+            let mut check = |config: &TestConfig| {
+                compare_with_oracle(
+                    &oracle,
+                    candidate,
+                    &schema,
+                    config,
+                    None,
+                    None,
+                    Some(&mut cache),
+                )
+            };
+            let stopped = check(&capped);
+            assert!(stopped.equivalent && !stopped.bound_exhausted, "cap {cap}");
+            assert_eq!(stopped.sequences_tested, cap);
+            assert_eq!(check(config), expected, "cap {cap}");
+        }
     }
 }
 
