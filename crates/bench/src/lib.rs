@@ -137,12 +137,6 @@ pub struct Table1Row {
     pub largest_search_space: u128,
     /// Invocation sequences executed during testing.
     pub sequences_tested: usize,
-    /// Equivalence checks that accepted a candidate without enumerating
-    /// their whole bound (their verdicts are optimistic).
-    pub truncated_checks: usize,
-    /// `true` when every accepting equivalence check exhausted its bound
-    /// (i.e. `truncated_checks == 0`).
-    pub bound_exhausted: bool,
     /// Largest single physical snapshot copy (bytes) performed by the
     /// bounded-testing engine during this run — a COW clone's pointer
     /// overhead or one copy-on-write table copy — an allocation proxy that
@@ -230,8 +224,6 @@ fn row_from_stats(
         invalid_instantiations: stats.invalid_instantiations,
         largest_search_space: stats.largest_search_space,
         sequences_tested: stats.sequences_tested,
-        truncated_checks: stats.truncated_checks,
-        bound_exhausted: stats.truncated_checks == 0,
         peak_snapshot_bytes: dbir::equiv::snapshot_peak_bytes(),
         interned_bytes: dbir::intern::stats().total_bytes(),
         validated,
@@ -264,8 +256,6 @@ pub fn row_to_json(benchmark: &Benchmark, row: &Table1Row) -> Json {
         .with("invalid_instantiations", row.invalid_instantiations.into())
         .with("largest_search_space", row.largest_search_space.into())
         .with("sequences_tested", row.sequences_tested.into())
-        .with("truncated_checks", row.truncated_checks.into())
-        .with("bound_exhausted", Json::Bool(row.bound_exhausted))
         .with("peak_snapshot_bytes", row.peak_snapshot_bytes.into())
         .with("interned_bytes", row.interned_bytes.into())
         .with(

@@ -411,12 +411,8 @@ pub fn complete_sketch(
                 stats.sequences_tested += sequences_tested;
                 return done(None, stats, false, true, &solver);
             }
-            CheckOutcome::Equivalent {
-                sequences_tested,
-                bound_exhausted,
-            } => {
+            CheckOutcome::Equivalent { sequences_tested } => {
                 stats.sequences_tested += sequences_tested;
-                stats.truncated_checks += usize::from(!bound_exhausted);
                 controls.record(SynthesisEvent::CandidateChecked {
                     index,
                     iteration: stats.iterations,
@@ -439,12 +435,8 @@ pub fn complete_sketch(
                         stats.sequences_tested += sequences_tested;
                         return done(None, stats, false, true, &solver);
                     }
-                    CheckOutcome::Equivalent {
-                        sequences_tested,
-                        bound_exhausted,
-                    } => {
+                    CheckOutcome::Equivalent { sequences_tested } => {
                         stats.sequences_tested += sequences_tested;
-                        stats.truncated_checks += usize::from(!bound_exhausted);
                         controls.record(SynthesisEvent::Solved {
                             index,
                             iterations: stats.iterations,
@@ -738,7 +730,7 @@ mod tests {
             Some(&mut fresh_profile),
             None,
         );
-        assert!(fresh.is_equivalent() && !fresh.is_truncated(), "{fresh:?}");
+        assert!(fresh.is_equivalent(), "{fresh:?}");
         assert!(fresh_profile.plans_compiled > 0 && fresh_profile.undo_frames > 0);
 
         let computes = oracle.computes();

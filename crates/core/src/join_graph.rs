@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 
 use dbir::ast::JoinChain;
-use dbir::schema::{QualifiedAttr, Schema, TableName};
+use dbir::schema::{Schema, TableName};
 
 /// The join graph of a target schema.
 #[derive(Debug)]
@@ -224,11 +224,6 @@ impl<'a> JoinGraph<'a> {
             in_chain.insert(table);
         }
         Some(chain)
-    }
-
-    /// The terminal tables for a set of target attributes.
-    pub fn tables_of(attrs: &BTreeSet<QualifiedAttr>) -> BTreeSet<TableName> {
-        attrs.iter().map(|a| a.table).collect()
     }
 }
 

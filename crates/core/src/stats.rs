@@ -27,12 +27,6 @@ pub struct SynthesisStats {
     /// Total number of invocation sequences executed while testing
     /// candidates.
     pub sequences_tested: usize,
-    /// Number of equivalence checks that accepted a candidate *without*
-    /// enumerating their whole bound (they stopped at
-    /// `TestConfig::max_sequences`). Zero means every accepting verdict in
-    /// the run genuinely exhausted its bound (`bound_exhausted` held for
-    /// all of them); a non-zero value flags optimistic acceptances.
-    pub truncated_checks: usize,
     /// Time spent in synthesis proper: value-correspondence enumeration,
     /// sketch generation and sketch completion including MFI search
     /// (Table 1, "Synth Time").
@@ -59,7 +53,6 @@ impl SynthesisStats {
         self.iterations += other.iterations;
         self.invalid_instantiations += other.invalid_instantiations;
         self.sequences_tested += other.sequences_tested;
-        self.truncated_checks += other.truncated_checks;
         self.largest_search_space = self.largest_search_space.max(other.search_space);
         self.phases.sat_blocking_clauses += other.blocking_clauses;
         self.phases.solver_reuses += other.solver_reuses;
@@ -122,10 +115,6 @@ pub struct SketchRunStats {
     pub invalid_instantiations: usize,
     /// Number of invocation sequences executed.
     pub sequences_tested: usize,
-    /// Number of equivalence checks that accepted a candidate without
-    /// enumerating their whole bound (see
-    /// [`SynthesisStats::truncated_checks`]).
-    pub truncated_checks: usize,
     /// The sketch's completion count.
     pub search_space: u128,
     /// Number of blocking clauses added.
@@ -160,7 +149,6 @@ mod tests {
             iterations: 3,
             invalid_instantiations: 1,
             sequences_tested: 40,
-            truncated_checks: 1,
             search_space: 100,
             blocking_clauses: 2,
             solver_reuses: 4,
@@ -170,7 +158,6 @@ mod tests {
             iterations: 2,
             invalid_instantiations: 0,
             sequences_tested: 10,
-            truncated_checks: 0,
             search_space: 50,
             blocking_clauses: 1,
             solver_reuses: 2,
@@ -179,7 +166,6 @@ mod tests {
         assert_eq!(stats.iterations, 5);
         assert_eq!(stats.invalid_instantiations, 1);
         assert_eq!(stats.sequences_tested, 50);
-        assert_eq!(stats.truncated_checks, 1);
         assert_eq!(stats.largest_search_space, 100);
         assert_eq!(stats.phases.sat_blocking_clauses, 3);
         assert_eq!(stats.phases.solver_reuses, 6);

@@ -432,12 +432,8 @@ impl Synthesizer {
                     stats.verification_time = verification_start.elapsed();
                     stats.phases.checks.merge(&final_profile);
                     match verified {
-                        CheckOutcome::Equivalent {
-                            sequences_tested,
-                            bound_exhausted,
-                        } => {
+                        CheckOutcome::Equivalent { sequences_tested } => {
                             stats.sequences_tested += sequences_tested;
-                            stats.truncated_checks += usize::from(!bound_exhausted);
                             return SynthesisResult {
                                 program: Some(program),
                                 correspondence: Some(phi.clone()),

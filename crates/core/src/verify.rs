@@ -28,11 +28,6 @@ pub enum CheckOutcome {
     Equivalent {
         /// Number of invocation sequences executed.
         sequences_tested: usize,
-        /// `true` if every sequence within the depth bound was enumerated.
-        /// `false` means the check stopped at
-        /// [`TestConfig::max_sequences`](dbir::equiv::TestConfig) and the
-        /// verdict is optimistic, not evidence of bounded equivalence.
-        bound_exhausted: bool,
     },
     /// A minimum failing input was found.
     NotEquivalent {
@@ -58,26 +53,12 @@ impl CheckOutcome {
     /// The number of invocation sequences executed.
     pub fn sequences_tested(&self) -> usize {
         match self {
-            CheckOutcome::Equivalent {
-                sequences_tested, ..
-            }
+            CheckOutcome::Equivalent { sequences_tested }
             | CheckOutcome::NotEquivalent {
                 sequences_tested, ..
             }
             | CheckOutcome::Cancelled { sequences_tested } => *sequences_tested,
         }
-    }
-
-    /// Returns `true` if the check accepted the candidate *without*
-    /// enumerating the whole bound (its verdict is optimistic).
-    pub fn is_truncated(&self) -> bool {
-        matches!(
-            self,
-            CheckOutcome::Equivalent {
-                bound_exhausted: false,
-                ..
-            }
-        )
     }
 }
 
@@ -127,7 +108,6 @@ pub fn check_candidate_cached(
         equivalent,
         counterexample,
         sequences_tested,
-        bound_exhausted,
         cancelled,
     } = compare_with_oracle(
         oracle,
@@ -141,10 +121,7 @@ pub fn check_candidate_cached(
     if cancelled {
         CheckOutcome::Cancelled { sequences_tested }
     } else if equivalent {
-        CheckOutcome::Equivalent {
-            sequences_tested,
-            bound_exhausted,
-        }
+        CheckOutcome::Equivalent { sequences_tested }
     } else {
         CheckOutcome::NotEquivalent {
             minimum_failing_input: counterexample
@@ -175,38 +152,6 @@ mod tests {
         let outcome = check_candidate(&program, &schema, &program, &schema, &TestConfig::default());
         assert!(outcome.is_equivalent());
         assert!(outcome.sequences_tested() > 0);
-        assert!(!outcome.is_truncated());
-    }
-
-    #[test]
-    fn capped_checks_report_truncation() {
-        let schema = Schema::parse("T(a: int, b: string)").unwrap();
-        let program = parse_program(
-            r#"
-            update add(a: int, b: string)
-                INSERT INTO T VALUES (a: a, b: b);
-            query get(a: int)
-                SELECT b FROM T WHERE a = a;
-            "#,
-            &schema,
-        )
-        .unwrap();
-        let capped = TestConfig {
-            max_sequences: Some(1),
-            ..TestConfig::default()
-        };
-        let outcome = check_candidate(&program, &schema, &program, &schema, &capped);
-        assert!(outcome.is_equivalent());
-        assert!(
-            outcome.is_truncated(),
-            "a capped pass must be flagged as optimistic"
-        );
-        match outcome {
-            CheckOutcome::Equivalent {
-                bound_exhausted, ..
-            } => assert!(!bound_exhausted),
-            other => panic!("unexpected outcome {other:?}"),
-        }
     }
 
     #[test]

@@ -262,15 +262,6 @@ impl Pred {
         }
     }
 
-    /// Builds `lhs = rhs` between two attributes.
-    pub fn eq_attr(lhs: QualifiedAttr, rhs: QualifiedAttr) -> Pred {
-        Pred::CmpAttr {
-            lhs,
-            op: CmpOp::Eq,
-            rhs,
-        }
-    }
-
     /// Conjunction helper that avoids introducing `True` operands.
     pub fn and(self, other: Pred) -> Pred {
         match (self, other) {
@@ -404,15 +395,6 @@ impl Query {
                 out
             }
             Query::Join(_) => Vec::new(),
-        }
-    }
-
-    /// The attributes produced by the query (its output columns).
-    pub fn output_attrs(&self, schema: &Schema) -> Vec<QualifiedAttr> {
-        match self {
-            Query::Project { attrs, .. } => attrs.clone(),
-            Query::Filter { input, .. } => input.output_attrs(schema),
-            Query::Join(j) => j.attrs(schema),
         }
     }
 }

@@ -72,12 +72,8 @@
 //! and every root's work is a pure function of the candidate — so the
 //! reported counterexample, `sequences_tested` and every counter of the
 //! [`CheckProfile`] are byte-identical to the single-threaded trajectory at
-//! any thread count. [`TestConfig::max_sequences`] is spent in the merge in
-//! plan order; a root's walk stops once the plan the merge spends next has
-//! tested more than what is left of the budget within that root alone, a
-//! rule that does not depend on the other roots, so a capped check splits
-//! its roots too. Tiny walks are searched inline because fork-join overhead
-//! would dominate.
+//! any thread count. Tiny walks are searched inline because fork-join
+//! overhead would dominate.
 //!
 //! **Undo-log correctness.** The in-place walk is equivalent to a
 //! clone-per-node walk because (a) the journaled executor
@@ -144,13 +140,6 @@ pub struct TestConfig {
     /// If `true`, restrict the update functions considered for a given query
     /// to the relevance closure described in the module documentation.
     pub cluster_by_tables: bool,
-    /// Hard cap on the total number of invocation sequences tested
-    /// (`None` for no cap). A check that reaches it reports exactly `cap`
-    /// sequences tested and no verdict of bounded equivalence. It bounds
-    /// the work too: the walk below each root stops once that root alone has
-    /// tested more than what was left of the cap (see
-    /// [`compare_with_oracle`]).
-    pub max_sequences: Option<usize>,
 }
 
 impl Default for TestConfig {
@@ -164,7 +153,6 @@ impl Default for TestConfig {
             id_seeds: vec![0, 1],
             max_arg_combinations: Some(16),
             cluster_by_tables: true,
-            max_sequences: None,
         }
     }
 }
@@ -236,13 +224,6 @@ pub struct EquivalenceReport {
     pub counterexample: Option<InvocationSequence>,
     /// Number of invocation sequences executed.
     pub sequences_tested: usize,
-    /// `true` if the search enumerated **every** sequence within the
-    /// configured depth bound. When `equivalent` is `true` but this is
-    /// `false`, the check stopped at [`TestConfig::max_sequences`] and the
-    /// verdict is *optimistic*, not evidence of equivalence up to the bound.
-    /// Always `false` when a counterexample was found (the search stops
-    /// early by design).
-    pub bound_exhausted: bool,
     /// `true` if the check was abandoned because the caller's
     /// [`CancelToken`] fired (see [`compare_with_oracle`]). A cancelled
     /// report carries **no verdict**: `equivalent` is `false` and
@@ -1186,10 +1167,6 @@ enum Halt {
     /// serves: the others come after it in plan order, so the merge never
     /// reaches them.
     Decided,
-    /// The first plan the walk serves tested more sequences below this root
-    /// than are left of [`TestConfig::max_sequences`]: the merge stops the
-    /// check at the cap, at this root or an earlier one.
-    Capped,
     /// The caller's [`CancelToken`] fired mid-subtree; the walk unwound
     /// without a verdict.
     Cancelled,
@@ -1349,8 +1326,8 @@ fn prepare_query(program: &Program, schema: &Schema, call: &Call) -> PreparedQue
 ///   states and exhausted (plan, length) verdicts with the other checks
 ///   that pass it; without one the check runs through a check-local cache.
 ///
-/// None of the three changes *what* is reported — the counterexample,
-/// `sequences_tested` and `bound_exhausted` are the same with or without
+/// None of the three changes *what* is reported — the verdict, the
+/// counterexample and `sequences_tested` are the same with or without
 /// them, and with a token that never fires; a cache changes only which
 /// update executions and which exhausted subtrees are skipped.
 ///
@@ -1374,12 +1351,6 @@ fn prepare_query(program: &Program, schema: &Schema, call: &Call) -> PreparedQue
 /// * The merge adds each plan's count to `sequences_tested` and returns at
 ///   the first plan that failed. A plan some earlier walk left undecided is
 ///   never reached: the plan that dropped it fails first.
-/// * [`TestConfig::max_sequences`] is spent in the merge, plan by plan: a
-///   plan whose count does not fit in what is left of the budget stops the
-///   check with the budget spent, where enumerating its sequences one by
-///   one would have stopped. So a tree walk stops below a root once the
-///   plan it was started for has tested more than what is left there, and
-///   the merge of its roots once that plan's count outgrows it.
 ///
 /// **Counted, not walked.** Two kinds of subtrees are counted into the
 /// plans they belong to instead of being walked, so the reports are what a
@@ -1442,20 +1413,16 @@ pub fn compare_with_oracle(
     let mut walk = || -> EquivalenceReport {
         let mut sequences_tested = 0usize;
         let report =
-            |sequences_tested, counterexample: Option<InvocationSequence>, capped: bool| {
-                EquivalenceReport {
-                    equivalent: counterexample.is_none(),
-                    bound_exhausted: counterexample.is_none() && !capped,
-                    counterexample,
-                    sequences_tested,
-                    cancelled: false,
-                }
+            |sequences_tested, counterexample: Option<InvocationSequence>| EquivalenceReport {
+                equivalent: counterexample.is_none(),
+                counterexample,
+                sequences_tested,
+                cancelled: false,
             };
         let cancelled_report = |sequences_tested| EquivalenceReport {
             equivalent: false,
             counterexample: None,
             sequences_tested,
-            bound_exhausted: false,
             cancelled: true,
         };
         for length in 0..=config.max_updates {
@@ -1475,12 +1442,8 @@ pub fn compare_with_oracle(
                     }
                 } else {
                     if round.verdicts[position].is_none() {
-                        let budget = config
-                            .max_sequences
-                            .map_or(usize::MAX, |cap| cap.saturating_sub(sequences_tested));
-                        let walked = round.walk_tree_of(
-                            &plans, position, budget, cache, schemas, cancel, &mut snap,
-                        );
+                        let walked =
+                            round.walk_tree_of(&plans, position, cache, schemas, cancel, &mut snap);
                         if let Err(tested) = walked {
                             return cancelled_report(sequences_tested + tested);
                         }
@@ -1489,15 +1452,13 @@ pub fn compare_with_oracle(
                         .take()
                         .expect("the walk of a plan's tree decides it")
                 };
-                if !spend(verdict.tested, config.max_sequences, &mut sequences_tested) {
-                    return report(sequences_tested, None, true);
-                }
+                sequences_tested += verdict.tested;
                 if verdict.failure.is_some() {
-                    return report(sequences_tested, verdict.failure, false);
+                    return report(sequences_tested, verdict.failure);
                 }
             }
         }
-        report(sequences_tested, None, false)
+        report(sequences_tested, None)
     };
     let report = walk();
 
@@ -1542,17 +1503,13 @@ impl Round {
     /// records the verdict of every plan the walk decides. Up to the cache
     /// depth the walk serves that plan alone, off roots shared with the
     /// tree's later plans; above it, every later plan of the tree too that
-    /// is not remembered and comes before the first known failure. A walk
-    /// in which that plan tests more than `budget` sequences stops there and
-    /// decides it alone, unremembered: the merge stops the check at the cap.
-    /// `Err` with the sequences the walk tested if the caller's token
-    /// cancelled it.
-    #[allow(clippy::too_many_arguments)]
+    /// is not remembered and comes before the first known failure. `Err`
+    /// with the sequences the walk tested if the caller's token cancelled
+    /// it.
     fn walk_tree_of(
         &mut self,
         plans: &[CheckPlan],
         position: usize,
-        budget: usize,
         cache: &mut PrefixCache,
         schemas: (&Schema, &Schema),
         token: Option<&CancelToken>,
@@ -1576,16 +1533,9 @@ impl Round {
             .collect();
         let roots = self.roots[tree]
             .get_or_insert_with(|| resolve_roots(cache, sides[0], schemas, length, snap));
-        let (tally, cancelled) = walk_tree(schemas, &sides, roots, length, budget, token, snap);
+        let (tally, cancelled) = walk_tree(schemas, &sides, roots, length, token, snap);
         if cancelled {
             return Err(tally.tested.iter().sum());
-        }
-        if tally.live() > 0 && tally.tested[0] > budget {
-            self.verdicts[position] = Some(Verdict {
-                tested: tally.tested[0],
-                failure: None,
-            });
-            return Ok(());
         }
         for (&served, &tested) in served[..tally.live()].iter().zip(&tally.tested) {
             cache.remember_exhausted(&plans[served].key, length);
@@ -1703,16 +1653,14 @@ fn resolve_roots(
 
 /// Walks one tree at `length` below its `roots` for the plans `served`, in
 /// plan order, and merges what the roots found; `true` with it if the
-/// caller's token cancelled the walk. The merge stops once the first plan
-/// has tested more than `budget` sequences.
+/// caller's token cancelled the walk.
 ///
 /// The roots are walked either sequentially in root order, or by
 /// `par_map_stop`, each root task tallying into a private [`Tally`]. A
 /// root's walk serves every plan of `served` until that plan, or an earlier
-/// one, fails in it, and stops once the first plan fails or tests more than
-/// `budget` sequences in it, so its work depends on the candidate and the
-/// budget alone. Merging the tallies in root order up to the root where the
-/// first plan fails or outgrows the budget reproduces each plan's own
+/// one, fails in it, and stops once the first plan fails in it, so its work
+/// depends on the candidate alone. Merging the tallies in root order up to
+/// the root where the first plan fails reproduces each plan's own
 /// enumeration, its count *and* the walk's accounting exactly: the roots
 /// before it contribute their whole subtrees, it contributes its walk up to
 /// where it stopped, and later roots — which the sequential walk never
@@ -1722,7 +1670,6 @@ fn walk_tree(
     served: &[Served<'_>],
     roots: &[Root],
     length: usize,
-    budget: usize,
     token: Option<&CancelToken>,
     snap: &mut SnapStats,
 ) -> (Tally, bool) {
@@ -1742,7 +1689,6 @@ fn walk_tree(
         let mut dfs = Dfs {
             plans: served,
             tally,
-            budget,
             path,
             cancel,
             token,
@@ -1764,9 +1710,8 @@ fn walk_tree(
         if roots.len() >= 2 && parpool::thread_limit() > 1 && leaves >= PARALLEL_LEAF_THRESHOLD {
             // A token cancellation is a stopping result too: it makes the whole
             // check moot, so still-queued roots are skipped instead of started.
-            let stops = |(_, halt, _): &RootRun| {
-                matches!(halt, Some(Halt::Decided | Halt::Capped | Halt::Cancelled))
-            };
+            let stops =
+                |(_, halt, _): &RootRun| matches!(halt, Some(Halt::Decided | Halt::Cancelled));
             let runs = parpool::par_map_stop(
                 roots,
                 |index, root, ctx| walk_root(root, Some((ctx, index))),
@@ -1779,20 +1724,15 @@ fn walk_tree(
 
     // Index-ordered merge: byte-identical to the sequential left-to-right
     // walk with early exit (see the parpool stop contract).
-    // A capped root has outgrown the budget on its own, so the merge stops
-    // at it or at an earlier root.
     let mut total = Tally::new(served.len());
     for (tally, halt, root_snap) in runs {
         snap.absorb(&root_snap);
         total.absorb(tally);
         match halt {
-            None | Some(Halt::Capped) => {}
+            None => {}
             Some(Halt::Decided) => break,
             Some(Halt::Cancelled) => return (total, true),
             Some(Halt::Aborted) => unreachable!("merge stops before aborted roots"),
-        }
-        if total.tested[0] > budget {
-            break;
         }
     }
     (total, false)
@@ -1905,10 +1845,6 @@ struct Dfs<'a> {
     /// the first one's are executed for all of them.
     plans: &'a [Served<'a>],
     tally: Tally,
-    /// What is left of [`TestConfig::max_sequences`] for the first plan
-    /// (`usize::MAX` without a cap): the walk stops once that plan has
-    /// tested more, because the merge stops the check there.
-    budget: usize,
     /// Indices into the tree's update calls for the current prefix, used to
     /// materialize the [`InvocationSequence`] only when a counterexample is
     /// actually found.
@@ -1969,8 +1905,7 @@ impl Dfs<'_> {
     /// back at this node's state on every exit path. A child whose call
     /// changed neither side is counted, not walked (see
     /// [`compare_with_oracle`]); below a node where both sides have failed,
-    /// every call is such a call. After each child the walk stops if the
-    /// first plan has tested more sequences than its budget.
+    /// every call is such a call.
     fn walk(&mut self, depth: usize) -> Result<(), Halt> {
         if self.cancelled() {
             return Err(Halt::Aborted);
@@ -1997,9 +1932,6 @@ impl Dfs<'_> {
             revert_frame(tgt_frame, &mut self.tgt, &mut self.snap);
             revert_frame(src_frame, &mut self.src, &mut self.snap);
             result?;
-            if self.tally.tested[0] > self.budget {
-                return Err(Halt::Capped);
-            }
         }
         Ok(())
     }
@@ -2038,21 +1970,6 @@ impl Dfs<'_> {
         }
         Ok(())
     }
-}
-
-/// Spends `sequences` sequences, in enumeration order, of the budget `cap`:
-/// `false`, with the budget spent, when they do not all fit in what is left
-/// of it — the check then stops where enumerating them one by one would
-/// have.
-fn spend(sequences: usize, cap: Option<usize>, sequences_tested: &mut usize) -> bool {
-    if let Some(cap) = cap {
-        if sequences > cap.saturating_sub(*sequences_tested) {
-            *sequences_tested = cap;
-            return false;
-        }
-    }
-    *sequences_tested += sequences;
-    true
 }
 
 /// Executes one (pre-resolved, pre-bound) update call **in place** on a
@@ -2247,17 +2164,6 @@ pub fn compare_programs_naive(
                 // Materialize the current prefix of update calls.
                 if length == 0 || !plan.update_calls.is_empty() {
                     for query in 0..plan.query_calls.len() {
-                        if let Some(cap) = config.max_sequences {
-                            if sequences_tested >= cap {
-                                return EquivalenceReport {
-                                    equivalent: true,
-                                    counterexample: None,
-                                    sequences_tested,
-                                    bound_exhausted: false,
-                                    cancelled: false,
-                                };
-                            }
-                        }
                         sequences_tested += 1;
                         let sequence = plan.sequence(&prefix_indices, query);
                         let lhs = observe(source, source_schema, &sequence);
@@ -2267,7 +2173,6 @@ pub fn compare_programs_naive(
                                 equivalent: false,
                                 counterexample: Some(sequence),
                                 sequences_tested,
-                                bound_exhausted: false,
                                 cancelled: false,
                             };
                         }
@@ -2304,7 +2209,6 @@ pub fn compare_programs_naive(
         equivalent: true,
         counterexample: None,
         sequences_tested,
-        bound_exhausted: true,
         cancelled: false,
     }
 }
@@ -2371,7 +2275,6 @@ mod tests {
         assert!(report.equivalent);
         assert!(report.counterexample.is_none());
         assert!(report.sequences_tested > 0);
-        assert!(report.bound_exhausted);
     }
 
     #[test]
@@ -2428,9 +2331,9 @@ mod tests {
 
     /// The prefix cache must change *what work is skipped*, never *what is
     /// reported*: every candidate's report (verdict, counterexample,
-    /// `sequences_tested`, `bound_exhausted`) is byte-identical with and
-    /// without the cache, hits accrue once candidates share prefixes, and
-    /// the deterministic `prefix_cache_hits` counter lands in the profile.
+    /// `sequences_tested`) is byte-identical with and without the cache,
+    /// hits accrue once candidates share prefixes, and the deterministic
+    /// `prefix_cache_hits` counter lands in the profile.
     #[test]
     fn prefix_cache_preserves_reports_and_hits_across_candidates() {
         let source = make_program(true);
@@ -2457,7 +2360,6 @@ mod tests {
             assert_eq!(cached.equivalent, plain.equivalent);
             assert_eq!(cached.counterexample, plain.counterexample);
             assert_eq!(cached.sequences_tested, plain.sequences_tested);
-            assert_eq!(cached.bound_exhausted, plain.bound_exhausted);
         }
 
         // The source program never changes, so every source-side prefix
@@ -2582,7 +2484,7 @@ mod tests {
         };
 
         let (cold, profile, walked) = check(&source);
-        assert!(cold.equivalent && cold.bound_exhausted);
+        assert!(cold.equivalent);
         assert_eq!(
             walked, cold.sequences_tested,
             "a cold check walks every sequence"
@@ -2669,40 +2571,6 @@ mod tests {
         assert_eq!(report.sequences_tested, 1 + 3 + 9 + 27);
         assert_eq!(oracle.computes(), 12);
         assert_eq!(profile.undo_frames, 18);
-    }
-
-    /// A cap bounds the walk, not only the count. Lengths 0 to 2 spend
-    /// 1 + 3 + 9 sequences, so at length 3 a cap of 14 leaves one: the walk
-    /// below the root `aa` stops once its second child, `aa·d`, has tested
-    /// a second sequence, after 4 journaled executions. A cap of 17 leaves
-    /// four: `aa` walks its three children, and the merge stops after the
-    /// root `ad` takes the count to six, before `ar` is walked.
-    #[test]
-    fn a_cap_stops_the_walk_where_it_falls() {
-        let (program, schema) = (quiet_program(), schema());
-        for (cap, computes, undo_frames) in [(14, 5 + 2, 4), (17, 5 + 4, 12)] {
-            let config = TestConfig {
-                max_sequences: Some(cap),
-                ..quiet_config()
-            };
-            let oracle = SourceOracle::new(&program, &schema);
-            let mut profile = CheckProfile::default();
-            let report = compare_with_oracle(
-                &oracle,
-                &program,
-                &schema,
-                &config,
-                None,
-                Some(&mut profile),
-                None,
-            );
-            let naive = compare_programs_naive(&program, &schema, &program, &schema, &config);
-            assert_eq!(report, naive, "cap {cap}");
-            assert_eq!(report.sequences_tested, cap);
-            assert!(!report.bound_exhausted);
-            assert_eq!(oracle.computes(), computes, "cap {cap}");
-            assert_eq!(profile.undo_frames, undo_frames, "cap {cap}");
-        }
     }
 
     /// Two queries on one update tree: at length 3 one walk below each root
@@ -2896,37 +2764,6 @@ mod tests {
         }
     }
 
-    /// A sequence budget that runs out among counted subtrees stops where
-    /// the naive engine's does: every cap from 0 to past the end, on an
-    /// equivalent check and on one with a counterexample.
-    #[test]
-    fn counted_subtrees_honour_every_sequence_cap() {
-        let schema = schema();
-        let marking = TestConfig {
-            max_updates: 2,
-            ..TestConfig::default()
-        };
-        for (source, target, config, end) in [
-            (quiet_program(), quiet_program(), quiet_config(), 40),
-            (
-                marking_program(None),
-                marking_program(Some("A")),
-                marking,
-                86,
-            ),
-        ] {
-            for cap in 0..=end + 1 {
-                let config = TestConfig {
-                    max_sequences: Some(cap),
-                    ..config.clone()
-                };
-                let report = compare_programs(&source, &schema, &target, &schema, &config);
-                let naive = compare_programs_naive(&source, &schema, &target, &schema, &config);
-                assert_eq!(report, naive, "cap {cap}");
-            }
-        }
-    }
-
     /// A call changed its side if it journaled a mutation, moved the uid
     /// counter or set the failure, and only then. No update of this
     /// evaluator mints an identifier without journaling the row it
@@ -3081,39 +2918,6 @@ mod tests {
     }
 
     #[test]
-    fn max_sequences_cap_short_circuits() {
-        let p = make_program(true);
-        let q = make_program(false);
-        let config = TestConfig {
-            max_sequences: Some(1),
-            ..TestConfig::default()
-        };
-        let report = compare_programs(&p, &schema(), &q, &schema(), &config);
-        assert!(report.sequences_tested <= 1);
-    }
-
-    #[test]
-    fn hitting_the_cap_is_not_reported_as_an_exhausted_bound() {
-        let p = make_program(true);
-        let config = TestConfig {
-            max_sequences: Some(1),
-            ..TestConfig::default()
-        };
-        let capped = compare_programs(&p, &schema(), &p.clone(), &schema(), &config);
-        assert!(capped.equivalent);
-        assert!(
-            !capped.bound_exhausted,
-            "a capped run must not masquerade as an exhausted bound"
-        );
-        let full = compare_programs(&p, &schema(), &p.clone(), &schema(), &TestConfig::default());
-        assert!(full.equivalent);
-        assert!(full.bound_exhausted);
-        // The naive reference agrees on both.
-        let naive_capped = compare_programs_naive(&p, &schema(), &p.clone(), &schema(), &config);
-        assert_eq!(capped, naive_capped);
-    }
-
-    #[test]
     fn prefix_shared_engine_matches_naive_reference() {
         for (lhs, rhs) in [(true, true), (true, false)] {
             let p = make_program(lhs);
@@ -3122,10 +2926,6 @@ mod tests {
                 TestConfig::default(),
                 TestConfig {
                     max_updates: 1,
-                    ..TestConfig::default()
-                },
-                TestConfig {
-                    max_sequences: Some(7),
                     ..TestConfig::default()
                 },
                 TestConfig {
@@ -3159,7 +2959,6 @@ mod tests {
         assert!(report.cancelled);
         assert!(!report.equivalent);
         assert!(report.counterexample.is_none());
-        assert!(!report.bound_exhausted);
     }
 
     #[test]

@@ -1330,7 +1330,6 @@ enum UndoOp {
 #[derive(Debug, Default)]
 pub struct Journal {
     ops: Vec<UndoOp>,
-    recorded: u64,
     cow_bytes: u64,
     cow_peak: usize,
 }
@@ -1345,12 +1344,6 @@ impl Journal {
     /// restore the instance to its state when the mark was taken.
     pub fn mark(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Row-level inverse operations recorded so far (rows pushed, rows
-    /// removed, cells overwritten), across the journal's whole lifetime.
-    pub fn ops_recorded(&self) -> u64 {
-        self.recorded
     }
 
     /// Drains the copy-on-write accounting accumulated since the last call:
@@ -1432,7 +1425,6 @@ impl Journal {
             return;
         }
         rows.truncate(write);
-        self.recorded += removed.len() as u64;
         self.ops.push(UndoOp::Removed {
             table: *table,
             rows: removed,
@@ -1444,7 +1436,6 @@ impl Journal {
         let (rows, copied) = instance.rows_mut_tracked(table);
         self.track_copy(copied);
         rows.push(row);
-        self.recorded += 1;
         self.ops.push(UndoOp::Pushed { table: *table });
     }
 
@@ -1470,7 +1461,6 @@ impl Journal {
         if cells.is_empty() {
             return;
         }
-        self.recorded += cells.len() as u64;
         self.ops.push(UndoOp::Cells {
             table: *table,
             column,

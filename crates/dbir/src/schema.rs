@@ -259,19 +259,6 @@ impl Schema {
         Schema::default()
     }
 
-    /// Creates a schema from table definitions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Schema`] if a table or column name is duplicated.
-    pub fn from_tables(tables: impl IntoIterator<Item = TableDef>) -> Result<Schema> {
-        let mut schema = Schema::new();
-        for table in tables {
-            schema.add_table(table)?;
-        }
-        Ok(schema)
-    }
-
     /// Adds a table to the schema.
     ///
     /// # Errors

@@ -3,9 +3,9 @@
 //! The prefix-shared DFS engine (`compare_programs`) must be observationally
 //! identical to the retained straight-line reference
 //! (`compare_programs_naive`): same verdict, same counterexample (including
-//! its minimality), same `sequences_tested`, same `bound_exhausted`. This
-//! property test throws randomly-built small programs and configurations at
-//! both engines and compares the full [`EquivalenceReport`]s.
+//! its minimality), same `sequences_tested`. This property test throws
+//! randomly-built small programs and configurations at both engines and
+//! compares the full [`EquivalenceReport`]s.
 
 use dbir::ast::{
     CmpOp, Function, FunctionBody, JoinChain, Operand, Param, Pred, Program, Query, Update,
@@ -208,24 +208,21 @@ fn config_strategy() -> impl Strategy<Value = TestConfig> {
         0usize..3,     // max_updates
         1usize..5,     // max_arg_combinations
         any::<bool>(), // cluster_by_tables
-        0usize..3,     // cap selector: 0 → none, else a small cap
-        1usize..60,    // cap magnitude
     )
-        .prop_map(|(max_updates, combos, cluster, cap_kind, cap)| TestConfig {
+        .prop_map(|(max_updates, combos, cluster)| TestConfig {
             max_updates,
             max_arg_combinations: Some(combos),
             cluster_by_tables: cluster,
-            max_sequences: if cap_kind == 0 { None } else { Some(cap) },
             ..TestConfig::default()
         })
 }
 
 /// `config` with a bound of `2 + depth` preceding updates (`depth` 0 keeps
-/// it as it is), one argument combination per function and no sequence
-/// cap. A bound of 3 or more takes the walk above the prefix cache's depth,
-/// where one walk per update tree serves several plans, and a bound of 5 or
-/// 6 reaches sequences of 6 and 7 calls, while the checks stay a few
-/// thousand sequences small.
+/// it as it is) and one argument combination per function. A bound of 3 or
+/// more takes the walk above the prefix cache's depth, where one walk per
+/// update tree serves several plans, and a bound of 5 or 6 reaches
+/// sequences of 6 and 7 calls, while the checks stay a few thousand
+/// sequences small.
 fn deepened(config: TestConfig, depth: usize) -> TestConfig {
     if depth == 0 {
         return config;
@@ -233,7 +230,6 @@ fn deepened(config: TestConfig, depth: usize) -> TestConfig {
     TestConfig {
         max_updates: 2 + depth,
         max_arg_combinations: Some(1),
-        max_sequences: None,
         ..config
     }
 }
@@ -243,8 +239,8 @@ proptest! {
 
     /// The prefix-shared engine and the naive reference produce identical
     /// reports: same verdict, same minimum failing input, same sequence
-    /// accounting, same bound-exhaustion flag. Bounds of up to 5 updates,
-    /// capped or not, at a thread budget of one and of four.
+    /// accounting. Bounds of up to 5 updates, at a thread budget of one and
+    /// of four.
     #[test]
     fn engines_agree_on_random_programs(
         source_shape in shape_strategy(),
@@ -252,7 +248,7 @@ proptest! {
         config in config_strategy(),
         depth in 0usize..4,
     ) {
-        let config = TestConfig { max_sequences: config.max_sequences, ..deepened(config, depth) };
+        let config = deepened(config, depth);
         let schema = schema();
         let source = build_program(&source_shape);
         let target = build_program(&target_shape);
@@ -431,9 +427,6 @@ proptest! {
 /// candidate's `promote` writes another name, which only an add, a mark and
 /// a promote in a row show. So `getName`'s plan fails inside the shared
 /// parallel walk that `getUid`'s plan, which never fails, started.
-///
-/// Each runs uncapped and with a sequence cap that lands inside the last
-/// length.
 #[test]
 fn parallel_walk_matches_naive_reference() {
     let schema = schema();
@@ -496,51 +489,46 @@ fn parallel_walk_matches_naive_reference() {
         ),
         (marking("C"), marking("D")),
     ];
-    for base in [unclustered, clustered] {
+    for config in [unclustered, clustered] {
         for (source, target) in &pairs {
-            let uncapped = compare_programs_naive(source, &schema, target, &schema, &base);
-            let capped = TestConfig {
-                max_sequences: Some(uncapped.sequences_tested * 2 / 3),
-                ..base.clone()
-            };
-            for config in [&base, &capped] {
-                // A fresh oracle and no caller cache per run; the counters
-                // compared leave out the wall-clock `*_time` fields.
-                let profiled = |threads: usize| {
-                    parpool::set_thread_limit(threads);
-                    let oracle = SourceOracle::new(source, &schema);
-                    let mut profile = CheckProfile::default();
-                    let report = compare_with_oracle(
-                        &oracle,
-                        target,
-                        &schema,
-                        config,
-                        None,
-                        Some(&mut profile),
-                        None,
-                    );
-                    let counters = CheckProfile {
-                        plan_compile_time: Default::default(),
-                        dfs_time: Default::default(),
-                        snapshot_time: Default::default(),
-                        ..profile
-                    };
-                    (report, counters, oracle.computes())
+            // A fresh oracle and no caller cache per run; the counters
+            // compared leave out the wall-clock `*_time` fields.
+            let profiled = |threads: usize| {
+                parpool::set_thread_limit(threads);
+                let oracle = SourceOracle::new(source, &schema);
+                let mut profile = CheckProfile::default();
+                let report = compare_with_oracle(
+                    &oracle,
+                    target,
+                    &schema,
+                    &config,
+                    None,
+                    Some(&mut profile),
+                    None,
+                );
+                let counters = CheckProfile {
+                    plan_compile_time: Default::default(),
+                    dfs_time: Default::default(),
+                    snapshot_time: Default::default(),
+                    ..profile
                 };
-                let (sequential, sequential_counters, sequential_computes) = profiled(1);
-                let (parallel, parallel_counters, parallel_computes) = profiled(4);
-                let naive = compare_programs_naive(source, &schema, target, &schema, config);
-                assert_eq!(parallel, naive, "parallel walk diverged under {config:?}");
-                assert_eq!(
-                    sequential, naive,
-                    "sequential walk diverged under {config:?}"
-                );
-                assert_eq!(
-                    (sequential_counters, sequential_computes),
-                    (parallel_counters.clone(), parallel_computes),
-                    "profile counters depend on the thread count under {config:?}"
-                );
-                if parallel.bound_exhausted {
+                (report, counters, oracle.computes())
+            };
+            let (sequential, sequential_counters, sequential_computes) = profiled(1);
+            let (parallel, parallel_counters, parallel_computes) = profiled(4);
+            let naive = compare_programs_naive(source, &schema, target, &schema, &config);
+            assert_eq!(parallel, naive, "parallel walk diverged under {config:?}");
+            assert_eq!(
+                sequential, naive,
+                "sequential walk diverged under {config:?}"
+            );
+            assert_eq!(
+                (sequential_counters, sequential_computes),
+                (parallel_counters.clone(), parallel_computes),
+                "profile counters depend on the thread count under {config:?}"
+            );
+            match &naive.counterexample {
+                None => {
                     assert!(
                         parallel.sequences_tested > 4096,
                         "test must be big enough to cross the parallelism threshold, got {}",
@@ -548,13 +536,11 @@ fn parallel_walk_matches_naive_reference() {
                     );
                     assert!(parallel_counters.undo_frames > 0, "the walk ran in place");
                 }
-            }
-            if let Some(cex) = &uncapped.counterexample {
-                assert!(
+                Some(cex) => assert!(
                     ["getUser", "getNamed"].contains(&cex.query.function.as_str())
                         || (cex.updates.len(), cex.query.function.as_str()) == (3, "getName"),
                     "{cex:?}"
-                );
+                ),
             }
         }
     }
@@ -675,12 +661,10 @@ proptest! {
     /// `PrefixCache`, the way a sketch run checks them: the stream runs
     /// twice over with the source in its middle, so later checks skip the
     /// (plan, length) subtrees earlier ones exhausted. Each candidate is
-    /// checked under the drawn configuration, then without its sequence
-    /// cap, then under it again, so a cap can stop a walk short of a
-    /// counterexample that the uncapped check must still find, and can land
-    /// inside a subtree the uncapped check just exhausted. Every report
-    /// equals the naive reference's and a cold check's, at a thread budget
-    /// of one and of four, for sequences of up to five updates.
+    /// checked twice in a row, so the second check is answered from the
+    /// verdicts the first one remembered. Every report equals the naive
+    /// reference's and a cold check's, at a thread budget of one and of
+    /// four, for sequences of up to five updates.
     #[test]
     fn shared_cache_streams_match_naive_and_cold_checks(
         source_shape in shape_strategy(),
@@ -690,8 +674,7 @@ proptest! {
     ) {
         let schema = schema();
         let source = build_program(&source_shape);
-        let uncapped = deepened(TestConfig { max_sequences: None, ..config.clone() }, depth);
-        let drawn = TestConfig { max_sequences: config.max_sequences, ..uncapped.clone() };
+        let config = deepened(config, depth);
         let candidates: Vec<Program> = stream
             .iter()
             .chain([&source_shape])
@@ -703,169 +686,19 @@ proptest! {
             let oracle = SourceOracle::new(&source, &schema);
             let mut cache = PrefixCache::new();
             for candidate in &candidates {
-                for config in [&drawn, &uncapped, &drawn] {
+                let cold = compare_with_oracle(&oracle, candidate, &schema, &config, None, None, None);
+                let naive = compare_programs_naive(&source, &schema, candidate, &schema, &config);
+                prop_assert_eq!(&cold, &naive, "threads {}, config {:?}", threads, config);
+                for _ in 0..2 {
                     let shared = compare_with_oracle(
-                        &oracle, candidate, &schema, config, None, None, Some(&mut cache),
+                        &oracle, candidate, &schema, &config, None, None, Some(&mut cache),
                     );
-                    let cold = compare_with_oracle(&oracle, candidate, &schema, config, None, None, None);
-                    let naive = compare_programs_naive(&source, &schema, candidate, &schema, config);
                     prop_assert_eq!(&shared, &cold, "threads {}, config {:?}", threads, config);
-                    prop_assert_eq!(&shared, &naive, "threads {}, config {:?}", threads, config);
                 }
             }
         }
         // Restore the default for the other tests in this binary.
         parpool::set_thread_limit(0);
-    }
-}
-
-/// A sequence cap that lands inside subtrees an earlier check through the
-/// same cache exhausted: the capped re-check walks nothing, yet it stops at
-/// the same count, with the same verdict, as the naive reference — for
-/// every cap from before the first sequence to past the last.
-#[test]
-fn a_cap_inside_remembered_subtrees_stops_where_the_walk_would() {
-    let schema = schema();
-    let program = build_program(&ProgramShape {
-        honest_insert: true,
-        with_delete: true,
-        with_tag_update: true,
-        with_docs: true,
-        projection: 2,
-        predicate: 3,
-        named: 0,
-    });
-    let config = TestConfig {
-        max_arg_combinations: Some(2),
-        ..TestConfig::default()
-    };
-    let oracle = SourceOracle::new(&program, &schema);
-    let mut cache = PrefixCache::new();
-    let full = compare_with_oracle(
-        &oracle,
-        &program,
-        &schema,
-        &config,
-        None,
-        None,
-        Some(&mut cache),
-    );
-    assert!(full.equivalent && full.bound_exhausted);
-    let total = full.sequences_tested;
-    for cap in 0..=total + 1 {
-        let capped = TestConfig {
-            max_sequences: Some(cap),
-            ..config.clone()
-        };
-        let before = oracle.computes();
-        let report = compare_with_oracle(
-            &oracle,
-            &program,
-            &schema,
-            &capped,
-            None,
-            None,
-            Some(&mut cache),
-        );
-        assert_eq!(
-            oracle.computes(),
-            before,
-            "cap {cap}: the re-check walks nothing"
-        );
-        assert_eq!(
-            report,
-            compare_programs_naive(&program, &schema, &program, &schema, &capped),
-            "cap {cap}"
-        );
-        assert_eq!(report.sequences_tested, cap.min(total));
-        assert_eq!(report.bound_exhausted, cap >= total, "cap {cap}");
-    }
-}
-
-/// Only walks that exhaust their subtree are remembered: for every cap short
-/// of a candidate's counterexample, a capped check leaves the subtree that
-/// holds it to be walked again, so the uncapped check after it through the
-/// same cache still finds the counterexample. In the second pair it lies at
-/// length 3, inside the walk below the root `add(0)·mark(0)`, so a cap that
-/// falls at that length stops the walk before it.
-#[test]
-fn a_capped_walk_is_not_remembered() {
-    let schema = schema();
-    let shape = ProgramShape {
-        honest_insert: true,
-        with_delete: true,
-        with_tag_update: true,
-        with_docs: true,
-        projection: 0,
-        predicate: 0,
-        named: 0,
-    };
-    let marking = |also: &str| {
-        dbir::parser::parse_program(
-            &format!(
-                "update add(id: int) INSERT INTO User VALUES (uid: id, name: \"A\");
-                 update mark(id: int) UPDATE User SET name = \"B\" WHERE uid = id;
-                 update remove(id: int) DELETE User FROM User WHERE uid = id{also};
-                 query get(id: int) SELECT name FROM User WHERE uid = id;"
-            ),
-            &schema,
-        )
-        .unwrap()
-    };
-    let pairs = [
-        (
-            build_program(&shape),
-            build_program(&ProgramShape {
-                predicate: 1,
-                ..shape
-            }),
-            TestConfig {
-                max_arg_combinations: Some(2),
-                ..TestConfig::default()
-            },
-        ),
-        (
-            marking(""),
-            marking(" OR name = \"B\""),
-            TestConfig {
-                max_updates: 3,
-                ..TestConfig::default()
-            },
-        ),
-    ];
-    for (source, candidate, config) in &pairs {
-        let expected = compare_programs_naive(source, &schema, candidate, &schema, config);
-        let cex = expected
-            .counterexample
-            .as_ref()
-            .expect("the candidate differs");
-        assert!(
-            !cex.updates.is_empty(),
-            "the counterexample sits below the root"
-        );
-        for cap in 0..expected.sequences_tested {
-            let capped = TestConfig {
-                max_sequences: Some(cap),
-                ..config.clone()
-            };
-            let oracle = SourceOracle::new(source, &schema);
-            let mut cache = PrefixCache::new();
-            let mut check = |config: &TestConfig| {
-                compare_with_oracle(
-                    &oracle,
-                    candidate,
-                    &schema,
-                    config,
-                    None,
-                    None,
-                    Some(&mut cache),
-                )
-            };
-            let stopped = check(&capped);
-            assert!(stopped.equivalent && !stopped.bound_exhausted, "cap {cap}");
-            assert_eq!(stopped.sequences_tested, cap);
-            assert_eq!(check(config), expected, "cap {cap}");
-        }
     }
 }
 

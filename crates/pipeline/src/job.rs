@@ -245,7 +245,11 @@ pub fn run_job(
         .cancel_token(cancel)
         .forensics(ledger.clone());
     if let Some(budget) = spec.budget_secs {
-        session = session.deadline(Duration::from_secs_f64(budget));
+        // A budget past `Duration`'s range runs without a deadline, as
+        // `Duration::MAX` does: the run's token reads a deadline that
+        // overflows `Instant` as none.
+        let budget = Duration::try_from_secs_f64(budget).unwrap_or(Duration::MAX);
+        session = session.deadline(budget);
     }
     if let Some(observer) = observer {
         session = session.observer(observer);
@@ -358,6 +362,21 @@ mod tests {
             Some("solved")
         );
         assert!(report.document.get("validation").is_some());
+    }
+
+    /// A budget too large for a `Duration` runs unbounded instead of
+    /// panicking the job's thread.
+    #[test]
+    fn run_job_takes_a_budget_past_the_duration_range() {
+        let mut spec = JobSpec::new(
+            include_str!("../../../examples/migrate/source.sql"),
+            include_str!("../../../examples/migrate/target.sql"),
+            include_str!("../../../examples/migrate/program.dbp"),
+        );
+        spec.budget_secs = Some(1e300);
+        let report = run_job(&spec, CancelToken::new(), None, None);
+        assert_eq!(report.outcome, "solved", "{:?}", report.document);
+        assert!(report.ok);
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub fn stats_json(stats: &SynthesisStats, outcome: SynthesisOutcome) -> Json {
         )
         .with("largest_search_space", stats.largest_search_space.into())
         .with("sequences_tested", stats.sequences_tested.into())
-        .with("truncated_checks", stats.truncated_checks.into())
         .with(
             "synthesis_time_secs",
             stats.synthesis_time.as_secs_f64().into(),

@@ -455,11 +455,6 @@ impl LineBus {
         self.wakeup.notify_all();
     }
 
-    /// Whether [`close`](LineBus::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed
-    }
-
     /// A snapshot of every line pushed so far.
     pub fn lines(&self) -> Vec<String> {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());

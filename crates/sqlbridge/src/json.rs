@@ -396,8 +396,11 @@ impl Parser<'_> {
                 .map(Json::Float)
                 .map_err(|_| format!("invalid number `{text}` at byte {start}"))
         } else {
+            // An integer too wide for `i128` is still a number: the writer
+            // prints a large `Float` as one, with no exponent.
             text.parse::<i128>()
                 .map(Json::Int)
+                .or_else(|_| text.parse::<f64>().map(Json::Float))
                 .map_err(|_| format!("invalid number `{text}` at byte {start}"))
         }
     }
@@ -539,6 +542,7 @@ mod tests {
             .with("succeeded", Json::Bool(true))
             .with("iterations", Json::Int(64))
             .with("time", Json::Float(194.5))
+            .with("budget", Json::Float(1e300))
             .with("nested", Json::object().with("nullish", Json::Null))
             .with(
                 "rows",

@@ -146,15 +146,6 @@ impl MigrationScript {
     pub fn is_empty(&self) -> bool {
         self.statements.is_empty() && self.preamble.is_empty() && self.cleanup.is_empty()
     }
-
-    /// Every statement of the script in execution order (preamble, data
-    /// moves, cleanup).
-    pub fn all_statements(&self) -> impl Iterator<Item = &String> {
-        self.preamble
-            .iter()
-            .chain(self.statements.iter())
-            .chain(self.cleanup.iter())
-    }
 }
 
 /// One `INSERT ... SELECT` in the making: a set of joinable source tables

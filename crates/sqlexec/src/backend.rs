@@ -76,11 +76,6 @@ impl MemoryBackend {
     pub fn database(&self) -> &Database {
         &self.database
     }
-
-    /// Mutable access to the underlying database.
-    pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.database
-    }
 }
 
 impl Backend for MemoryBackend {
