@@ -94,6 +94,7 @@
 //! program, so omitting them preserves both soundness and minimality of the
 //! search at a given bound.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -104,8 +105,8 @@ use parpool::{CancelToken, StopCtx};
 use crate::ast::{Function, FunctionBody, Program};
 use crate::error::Error;
 use crate::eval::{
-    bind_args, exec_rows_plan, exec_update_plan_journaled, prepare_rows_plan, prepare_update_plan,
-    Journal, RowsPlan, UpdatePlan,
+    bind_args, exec_update_plan_journaled, prepare_rows_plan, prepare_update_plan, stream_rows,
+    Journal, RowBuffers, RowsPlan, UpdatePlan,
 };
 use crate::instance::Instance;
 use crate::invocation::{
@@ -1269,7 +1270,9 @@ enum PreparedQuery {
     /// A compiled rows-plan: structural resolution already done, execution
     /// touches rows only (see [`RowsPlan`]).
     Ready(RowsPlan),
-    Failed(Error),
+    /// The call does not resolve, bind or compile, so every sequence that
+    /// ends in it fails. Which error it fails with is never read.
+    Failed,
 }
 
 fn prepare_update(program: &Program, schema: &Schema, call: &Call) -> PreparedUpdate {
@@ -1292,21 +1295,18 @@ fn prepare_update(program: &Program, schema: &Schema, call: &Call) -> PreparedUp
 }
 
 fn prepare_query(program: &Program, schema: &Schema, call: &Call) -> PreparedQuery {
-    let function = match resolve_query(program, &call.function) {
-        Ok(function) => function,
-        Err(err) => return PreparedQuery::Failed(err),
+    let Ok(function) = resolve_query(program, &call.function) else {
+        return PreparedQuery::Failed;
     };
-    let env = match bind_args(function, &call.args) {
-        Ok(env) => env,
-        Err(err) => return PreparedQuery::Failed(err),
+    let Ok(env) = bind_args(function, &call.args) else {
+        return PreparedQuery::Failed;
     };
-    let query = match &function.body {
-        FunctionBody::Query(query) => query,
-        FunctionBody::Update(_) => unreachable!("resolve_query rejects updates"),
+    let FunctionBody::Query(query) = &function.body else {
+        unreachable!("resolve_query rejects updates");
     };
     match prepare_rows_plan(schema, query, &env) {
         Ok((plan, _header)) => PreparedQuery::Ready(plan),
-        Err(err) => PreparedQuery::Failed(err),
+        Err(_) => PreparedQuery::Failed,
     }
 }
 
@@ -1696,8 +1696,10 @@ fn walk_tree(
             snap: blank,
             src: WorkState::from_snapshot(&root.src, source_schema),
             tgt: WorkState::from_snapshot(&root.tgt, target_schema),
+            leaf: LEAF_ROWS.take(),
         };
         let halt = dfs.walk(length - base).err();
+        LEAF_ROWS.set(dfs.leaf);
         fold_snapshot_peak(dfs.snap.peak);
         (dfs.tally, halt, dfs.snap)
     };
@@ -1864,6 +1866,9 @@ struct Dfs<'a> {
     src: WorkState<'a>,
     /// The target program's working state, mutated and rolled back in place.
     tgt: WorkState<'a>,
+    /// The buffers the leaves' queries run into, borrowed from the thread's
+    /// [`LEAF_ROWS`] for the walk.
+    leaf: LeafRows,
 }
 
 /// How many tree nodes a walker visits between two polls of the caller's
@@ -1952,9 +1957,9 @@ impl Dfs<'_> {
             for qi in 0..plan.calls.query_calls.len() {
                 self.tally.tested[served] += 1;
                 self.snap.src_queries += 1;
-                let src_outcome = work_outcome(&plan.src_queries[qi], &self.src);
-                let tgt_outcome = work_outcome(&target.queries[qi], &self.tgt);
-                if !outcomes_agree(&src_outcome, &tgt_outcome) {
+                let src = (&*plan.src_queries[qi], &self.src);
+                let tgt = (&*target.queries[qi], &self.tgt);
+                if !self.leaf.agree(src, tgt) {
                     self.tally.failure = Some(Failure {
                         plan: served,
                         path: self.path.as_slice().into(),
@@ -2117,25 +2122,99 @@ fn fold_snapshot_peak(local: usize) {
     }
 }
 
-/// The observable outcome of running one compiled query call against a
-/// working state, matching what a full replay of the sequence would observe
-/// (queries never mint identifiers, so the state's uid counter is moot).
-fn work_outcome(prepared: &PreparedQuery, state: &WorkState<'_>) -> Outcome {
-    if let Some(err) = &state.failed {
-        return Outcome::Failed(err.clone());
-    }
-    let plan = match prepared {
-        PreparedQuery::Ready(plan) => plan,
-        PreparedQuery::Failed(err) => return Outcome::Failed(err.clone()),
-    };
-    match exec_rows_plan(plan, state.instance.get()) {
-        Ok(rows) => {
-            let mut rows = rows.into_owned();
-            rows.sort();
-            Outcome::Rows(rows)
+thread_local! {
+    /// Each thread's leaf buffers. A walker takes them for its walk and puts
+    /// them back, so the walks that run on one thread, root after root and
+    /// check after check, evaluate their leaves in the same allocations.
+    static LEAF_ROWS: Cell<LeafRows> = Cell::new(LeafRows::default());
+}
+
+/// Where a walker evaluates its leaves: each side's query rows, flat, one
+/// row after another, the executor's spare rows, and each side's row order
+/// for the rare leaf whose sides return their rows in different orders.
+#[derive(Default)]
+struct LeafRows {
+    src: Vec<Value>,
+    tgt: Vec<Value>,
+    buffers: RowBuffers,
+    order: (Vec<usize>, Vec<usize>),
+}
+
+/// How many rows a query returned into its leaf buffer, and how wide they
+/// are (0 when there are none).
+#[derive(Clone, Copy, PartialEq)]
+struct Answer {
+    rows: usize,
+    width: usize,
+}
+
+impl LeafRows {
+    /// Whether a query call agrees with its counterpart, each run on its
+    /// side's working state: both fail, or both return the same multiset of
+    /// rows, as the canonical rows of two [`Outcome`]s compare. The sides'
+    /// rows are compared in the order they came out; only if that differs
+    /// are their row indices sorted, and no rows are moved or copied.
+    fn agree(
+        &mut self,
+        src: (&PreparedQuery, &WorkState<'_>),
+        tgt: (&PreparedQuery, &WorkState<'_>),
+    ) -> bool {
+        let src = answer(src, &mut self.src, &mut self.buffers);
+        let tgt = answer(tgt, &mut self.tgt, &mut self.buffers);
+        match (src, tgt) {
+            (None, None) => true,
+            (Some(src), Some(tgt)) => src == tgt && (self.src == self.tgt || self.same_sorted(src)),
+            _ => false,
         }
-        Err(err) => Outcome::Failed(err),
     }
+
+    /// Whether the two sides' rows, `answer` on each, are equal once both
+    /// are sorted. Only called when the flat buffers differ, so there is at
+    /// least one row and it is not empty.
+    fn same_sorted(&mut self, Answer { rows, width }: Answer) -> bool {
+        fn row(values: &[Value], width: usize, i: usize) -> &[Value] {
+            &values[i * width..][..width]
+        }
+        let sort = |order: &mut Vec<usize>, values: &[Value]| {
+            order.clear();
+            order.extend(0..rows);
+            order.sort_unstable_by(|&i, &j| row(values, width, i).cmp(row(values, width, j)));
+        };
+        sort(&mut self.order.0, &self.src);
+        sort(&mut self.order.1, &self.tgt);
+        self.order
+            .0
+            .iter()
+            .zip(&self.order.1)
+            .all(|(&i, &j)| row(&self.src, width, i) == row(&self.tgt, width, j))
+    }
+}
+
+/// Runs one compiled query call on a working state, its rows into `out`.
+/// `None` if the sequence fails there: the state has failed, the call did
+/// not compile, or its execution fails. Queries never mint identifiers, so
+/// the state's uid counter is moot.
+fn answer(
+    (prepared, state): (&PreparedQuery, &WorkState<'_>),
+    out: &mut Vec<Value>,
+    buffers: &mut RowBuffers,
+) -> Option<Answer> {
+    out.clear();
+    let PreparedQuery::Ready(plan) = prepared else {
+        return None;
+    };
+    if state.failed.is_some() {
+        return None;
+    }
+    let mut answer = Answer { rows: 0, width: 0 };
+    stream_rows(plan, state.instance.get(), buffers, &mut |row| {
+        answer.rows += 1;
+        answer.width = row.len();
+        out.extend_from_slice(row);
+        Ok(())
+    })
+    .ok()?;
+    Some(answer)
 }
 
 /// The original straight-line engine: materializes every invocation sequence

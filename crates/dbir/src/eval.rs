@@ -199,7 +199,7 @@ impl<'a> Evaluator<'a> {
             return Ok(rel);
         }
         let plan = prepare_pred_plan(self.schema, pred, &rel.columns, env)?;
-        let compiled = instantiate_pred_plan(&plan, instance)?;
+        let compiled = instantiate_pred_plan(&plan, instance).map_err(Cow::into_owned)?;
         let Relation { columns, rows } = rel;
         let mut kept = Vec::with_capacity(rows.len());
         for row in rows {
@@ -436,7 +436,8 @@ impl<'a> Evaluator<'a> {
 /// time re-resolves tables, join keys and projection columns, and — worse —
 /// rebuilds every intermediate relation header (two `String` clones per
 /// column per call). A `RowsPlan` hoists all of that: structural resolution
-/// happens once, execution touches rows only and returns bare tuples.
+/// happens once, and execution ([`stream_rows`]) streams bare rows through
+/// the plan into the caller's sink.
 ///
 /// Semantics match the AST interpreter *error-occurrence-wise*: a plan
 /// execution fails exactly when interpreting the query against the same
@@ -452,8 +453,12 @@ pub(crate) enum RowsPlan {
         /// The scanned table.
         table: TableName,
     },
-    /// Nested-loop equi-join of two sub-plans on pre-resolved key columns
-    /// (see [`join_rows`]).
+    /// Nested-loop equi-join of two sub-plans on pre-resolved key columns:
+    /// each left row, in order, followed by its matches in right-row order.
+    /// NULL keys never match. Bounded testing runs joins over the few rows
+    /// a short prefix of update calls inserted, millions of times. A hash
+    /// table built per execution costs more there than the comparisons it
+    /// saves, so there is none.
     Join {
         left: Box<RowsPlan>,
         right: Box<RowsPlan>,
@@ -527,23 +532,11 @@ pub(crate) fn prepare_rows_plan(
         Query::Join(chain) => prepare_join_plan(schema, chain),
         Query::Filter { pred, input } => {
             let (input_plan, header) = prepare_rows_plan(schema, input, env)?;
-            let pred_plan = prepare_pred_plan(schema, pred, &header, env).map(|plan| {
-                if plan.contains_in() {
-                    FilterPred::Dynamic(plan)
-                } else {
-                    // Instance-independent: instantiate once here. The only
-                    // fallible instantiation step is `IN` execution, absent
-                    // by construction.
-                    FilterPred::Static(
-                        instantiate_pred_plan(&plan, &Instance::default())
-                            .expect("IN-free predicates instantiate infallibly"),
-                    )
-                }
-            });
+            let pred = prepare_filter(schema, pred, &header, env);
             Ok((
                 RowsPlan::Filter {
                     input: Box::new(input_plan),
-                    pred: pred_plan,
+                    pred,
                 },
                 header,
             ))
@@ -664,13 +657,9 @@ fn prepare_pred_plan(
     })
 }
 
-/// Equi-joins `left` and `right` on their columns `li` and `ri` with a
-/// nested loop: each left row, in order, followed by its matches in
-/// right-row order. NULL keys never match.
-///
-/// Bounded testing runs joins over the few rows a short prefix of update
-/// calls inserted, millions of times. A hash table built per execution
-/// costs more there than the comparisons it saves, so there is none.
+/// The interpreter's equi-join of `left` and `right` on their columns `li`
+/// and `ri`: each left row, in order, followed by its matches in right-row
+/// order. NULL keys never match. [`stream_rows`] joins in the same order.
 fn join_rows(left: &[Tuple], right: &[Tuple], li: usize, ri: usize) -> Vec<Tuple> {
     let mut rows = Vec::new();
     for lrow in left {
@@ -688,79 +677,128 @@ fn join_rows(left: &[Tuple], right: &[Tuple], li: usize, ri: usize) -> Vec<Tuple
     rows
 }
 
-/// Executes a compiled plan against an instance, returning bare rows.
+/// Why a streamed execution failed: an error compiled into the plan,
+/// borrowed from it, or one that a row raised. Bounded testing reads only
+/// whether an execution failed, so it clones no error.
+pub(crate) type Fault<'p> = Cow<'p, Error>;
+
+/// Spare row buffers for [`stream_rows`]. A caller that executes plans
+/// again and again keeps one, so joins and projections assemble their rows
+/// in the allocations of earlier executions.
+#[derive(Debug, Default)]
+pub(crate) struct RowBuffers(Vec<Vec<Value>>);
+
+impl RowBuffers {
+    /// An empty buffer, in a spare one's allocation if there is one.
+    fn take(&mut self) -> Vec<Value> {
+        let mut buffer = self.0.pop().unwrap_or_default();
+        buffer.clear();
+        buffer
+    }
+
+    /// Keeps `buffer` for a later [`RowBuffers::take`].
+    fn give(&mut self, buffer: Vec<Value>) {
+        self.0.push(buffer);
+    }
+}
+
+/// Executes a compiled plan against an instance, pushing its rows into
+/// `sink` in plan order. No plan node materializes its output: a scan hands
+/// out the instance's own rows, a filter passes on the rows its predicate
+/// keeps, and a join or a projection assembles each row it emits in one
+/// buffer taken from `buffers`. Only a join's right side is collected, once
+/// per execution, because every left row meets all of it.
 ///
-/// Scans borrow the instance's rows directly (`Cow::Borrowed`), so a
-/// selective `Filter(Scan)` — the dominant query shape in bounded testing —
-/// clones only the surviving rows instead of the whole table.
-pub(crate) fn exec_rows_plan<'i>(
-    plan: &RowsPlan,
-    instance: &'i Instance,
-) -> Result<Cow<'i, [Tuple]>> {
+/// Errors occur as in the interpreter (see [`RowsPlan`]): a filter fails on
+/// its first row if its predicate failed to compile or one of its `IN`
+/// subqueries fails, which happens iff the interpreter's input relation is
+/// non-empty, and on any row its predicate fails on. An error from `sink`
+/// stops the execution too.
+pub(crate) fn stream_rows<'p>(
+    plan: &'p RowsPlan,
+    instance: &Instance,
+    buffers: &mut RowBuffers,
+    sink: &mut dyn FnMut(&[Value]) -> std::result::Result<(), Fault<'p>>,
+) -> std::result::Result<(), Fault<'p>> {
     match plan {
-        RowsPlan::Scan { table } => Ok(Cow::Borrowed(instance.rows(table))),
+        RowsPlan::Scan { table } => instance.rows(table).iter().try_for_each(|row| sink(row)),
         RowsPlan::Join {
             left,
             right,
             li,
             ri,
         } => {
-            let lrows = exec_rows_plan(left, instance)?;
-            let rrows = exec_rows_plan(right, instance)?;
-            Ok(Cow::Owned(join_rows(&lrows, &rrows, *li, *ri)))
+            let mut right_rows = buffers.take();
+            let mut width = 0;
+            stream_rows(right, instance, buffers, &mut |row| {
+                width = row.len();
+                right_rows.extend_from_slice(row);
+                Ok(())
+            })?;
+            let mut joined = buffers.take();
+            // Every right row holds its key column, so an empty right side
+            // is the only one of width 0.
+            let result = if width == 0 {
+                Ok(())
+            } else {
+                stream_rows(left, instance, buffers, &mut |lrow| {
+                    let key = lrow[*li];
+                    if key.is_null() {
+                        return Ok(());
+                    }
+                    for rrow in right_rows.chunks_exact(width) {
+                        if rrow[*ri] == key {
+                            joined.clear();
+                            joined.extend_from_slice(lrow);
+                            joined.extend_from_slice(rrow);
+                            sink(&joined)?;
+                        }
+                    }
+                    Ok(())
+                })
+            };
+            buffers.give(joined);
+            buffers.give(right_rows);
+            result
         }
         RowsPlan::Filter { input, pred } => {
-            let rows = exec_rows_plan(input, instance)?;
-            if rows.is_empty() {
-                return Ok(rows);
-            }
-            let pred = match pred {
-                Ok(plan) => plan,
-                Err(err) => return Err(err.clone()),
-            };
-            let instantiated;
-            let compiled = match pred {
-                FilterPred::Static(compiled) => compiled,
-                FilterPred::Dynamic(plan) => {
-                    instantiated = instantiate_pred_plan(plan, instance)?;
-                    &instantiated
-                }
-            };
-            let mut kept = Vec::new();
-            match rows {
-                // Owned input: move survivors, no clones.
-                Cow::Owned(rows) => {
-                    for row in rows {
-                        if eval_compiled(compiled, &row)? {
-                            kept.push(row);
+            let mut instantiated = None;
+            stream_rows(input, instance, buffers, &mut |row| {
+                let compiled = match pred {
+                    Err(err) => return Err(Cow::Borrowed(err)),
+                    Ok(FilterPred::Static(compiled)) => compiled,
+                    Ok(FilterPred::Dynamic(plan)) => {
+                        if instantiated.is_none() {
+                            instantiated = Some(instantiate_pred_plan(plan, instance)?);
                         }
+                        instantiated.as_ref().expect("instantiated above")
                     }
+                };
+                if eval_compiled(compiled, row).map_err(Cow::Owned)? {
+                    sink(row)?;
                 }
-                // Borrowed input (a scan): clone only the survivors.
-                Cow::Borrowed(rows) => {
-                    for row in rows {
-                        if eval_compiled(compiled, row)? {
-                            kept.push(row.clone());
-                        }
-                    }
-                }
-            }
-            Ok(Cow::Owned(kept))
+                Ok(())
+            })
         }
         RowsPlan::Project { input, indices } => {
-            let rows = exec_rows_plan(input, instance)?;
-            Ok(Cow::Owned(
-                rows.iter()
-                    .map(|row| indices.iter().map(|&i| row[i]).collect())
-                    .collect(),
-            ))
+            let mut projected = buffers.take();
+            let result = stream_rows(input, instance, buffers, &mut |row| {
+                projected.clear();
+                projected.extend(indices.iter().map(|&i| row[i]));
+                sink(&projected)
+            });
+            buffers.give(projected);
+            result
         }
     }
 }
 
 /// Materializes a structural predicate plan into a row-evaluable
 /// [`CompiledPred`], executing `IN` subqueries against the instance once.
-fn instantiate_pred_plan(plan: &PredPlan, instance: &Instance) -> Result<CompiledPred> {
+fn instantiate_pred_plan<'p>(
+    plan: &'p PredPlan,
+    instance: &Instance,
+) -> std::result::Result<CompiledPred, Fault<'p>> {
     Ok(match plan {
         PredPlan::Const(b) => CompiledPred::Const(*b),
         PredPlan::CmpCols { lhs, op, rhs } => CompiledPred::CmpCols {
@@ -774,10 +812,11 @@ fn instantiate_pred_plan(plan: &PredPlan, instance: &Instance) -> Result<Compile
             rhs: *rhs,
         },
         PredPlan::In { attr, sub } => {
-            let members: HashSet<Value> = exec_rows_plan(sub, instance)?
-                .iter()
-                .map(|row| row.last().cloned().expect("single-column subquery"))
-                .collect();
+            let mut members = HashSet::new();
+            stream_rows(sub, instance, &mut RowBuffers::default(), &mut |row| {
+                members.insert(*row.last().expect("single-column subquery"));
+                Ok(())
+            })?;
             CompiledPred::In {
                 attr: *attr,
                 members,
@@ -861,7 +900,18 @@ impl CompiledQuery {
     /// Returns instance-dependent evaluation errors (filter-predicate and
     /// `IN`-subquery errors), matching the interpreter occurrence-wise.
     pub fn execute(&self, instance: &Instance) -> Result<Vec<Tuple>> {
-        Ok(exec_rows_plan(&self.plan, instance)?.into_owned())
+        let mut rows = Vec::new();
+        stream_rows(
+            &self.plan,
+            instance,
+            &mut RowBuffers::default(),
+            &mut |row| {
+                rows.push(row.to_vec());
+                Ok(())
+            },
+        )
+        .map_err(Cow::into_owned)?;
+        Ok(rows)
     }
 }
 
@@ -1000,18 +1050,20 @@ enum InsertSlot {
 /// Compiled form of [`Update::Delete`].
 #[derive(Debug)]
 pub(crate) struct DeletePlan {
-    join: RowsPlan,
-    pred: std::result::Result<FilterPred, Error>,
-    /// Per deleted table: name plus the join-header indices of its columns,
-    /// used to project matched join rows back onto table tuples.
-    targets: Vec<(TableName, Vec<usize>)>,
+    /// The join, filtered by the statement's predicate.
+    matched: RowsPlan,
+    /// The deleted tables.
+    tables: Vec<TableName>,
+    /// Per deleted table, the join-header indices of its columns, used to
+    /// project matched join rows back onto table tuples.
+    projections: Vec<Vec<usize>>,
 }
 
 /// Compiled form of [`Update::UpdateAttr`].
 #[derive(Debug)]
 pub(crate) struct UpdateAttrPlan {
-    join: RowsPlan,
-    pred: std::result::Result<FilterPred, Error>,
+    /// The join, filtered by the statement's predicate.
+    matched: RowsPlan,
     table: TableName,
     /// Join-header indices of the table's columns.
     projection: Vec<usize>,
@@ -1049,22 +1101,18 @@ pub(crate) fn prepare_update_plan(
                     )));
                 }
             }
-            let (join_plan, header) = prepare_join_plan(schema, join)?;
-            let pred = prepare_filter(schema, pred, &header, env);
-            let mut targets = Vec::with_capacity(tables.len());
+            let (matched, header) = prepare_matched(schema, join, pred, env)?;
+            let mut projections = Vec::with_capacity(tables.len());
             for table_name in tables {
                 let table = schema
                     .table(table_name)
                     .ok_or_else(|| Error::UnknownTable(table_name.to_string()))?;
-                targets.push((
-                    *table_name,
-                    header_indices(&table.qualified_attrs(), &header),
-                ));
+                projections.push(header_indices(&table.qualified_attrs(), &header));
             }
             Ok(UpdatePlan::Delete(DeletePlan {
-                join: join_plan,
-                pred,
-                targets,
+                matched,
+                tables: tables.clone(),
+                projections,
             }))
         }
         Update::UpdateAttr {
@@ -1084,13 +1132,11 @@ pub(crate) fn prepare_update_plan(
             let column = table
                 .column_index(&attr.attr)
                 .ok_or_else(|| Error::UnknownAttribute(attr.to_string()))?;
-            let (join_plan, header) = prepare_join_plan(schema, join)?;
-            let pred = prepare_filter(schema, pred, &header, env);
+            let (matched, header) = prepare_matched(schema, join, pred, env)?;
             let projection = header_indices(&table.qualified_attrs(), &header);
             let value = eval_operand_env(value, env)?;
             Ok(UpdatePlan::UpdateAttr(UpdateAttrPlan {
-                join: join_plan,
-                pred,
+                matched,
                 table: attr.table,
                 projection,
                 column,
@@ -1098,6 +1144,23 @@ pub(crate) fn prepare_update_plan(
             }))
         }
     }
+}
+
+/// Compiles the rows a join-driven statement acts on: its join, filtered by
+/// its predicate, with the join's header.
+fn prepare_matched(
+    schema: &Schema,
+    join: &JoinChain,
+    pred: &Pred,
+    env: &Env,
+) -> Result<(RowsPlan, Vec<QualifiedAttr>)> {
+    let (join, header) = prepare_join_plan(schema, join)?;
+    let pred = prepare_filter(schema, pred, &header, env);
+    let matched = RowsPlan::Filter {
+        input: Box::new(join),
+        pred,
+    };
+    Ok((matched, header))
 }
 
 /// Compiles a filter predicate with the standard static/dynamic split.
@@ -1111,6 +1174,9 @@ fn prepare_filter(
         if plan.contains_in() {
             FilterPred::Dynamic(plan)
         } else {
+            // Instance-independent: instantiate once here. The only
+            // fallible instantiation step is `IN` execution, absent by
+            // construction.
             FilterPred::Static(
                 instantiate_pred_plan(&plan, &Instance::default())
                     .expect("IN-free predicates instantiate infallibly"),
@@ -1244,15 +1310,8 @@ pub(crate) fn exec_update_plan(
             Ok(next_uid + insert.fresh_uids)
         }
         UpdatePlan::Delete(delete) => {
-            let doomed_sets = {
-                let matched = matched_rows(&delete.join, &delete.pred, instance)?;
-                delete
-                    .targets
-                    .iter()
-                    .map(|(_, indices)| project_rows(&matched, indices))
-                    .collect::<Vec<_>>()
-            };
-            for ((table, _), doomed) in delete.targets.iter().zip(doomed_sets) {
+            let doomed_sets = matched_rows(&delete.matched, &delete.projections, instance)?;
+            for (table, doomed) in delete.tables.iter().zip(doomed_sets) {
                 if !doomed.is_empty() {
                     instance.rows_mut(table).retain(|row| !doomed.contains(row));
                 }
@@ -1260,10 +1319,7 @@ pub(crate) fn exec_update_plan(
             Ok(next_uid)
         }
         UpdatePlan::UpdateAttr(update) => {
-            let affected = {
-                let matched = matched_rows(&update.join, &update.pred, instance)?;
-                project_rows(&matched, &update.projection)
-            };
+            let affected = matched_table_rows(update, instance)?;
             if !affected.is_empty() {
                 for row in instance.rows_mut(&update.table) {
                     if affected.contains(row) {
@@ -1514,15 +1570,8 @@ pub(crate) fn exec_update_plan_journaled(
             Ok(next_uid + insert.fresh_uids)
         }
         UpdatePlan::Delete(delete) => {
-            let doomed_sets = {
-                let matched = matched_rows(&delete.join, &delete.pred, instance)?;
-                delete
-                    .targets
-                    .iter()
-                    .map(|(_, indices)| project_rows(&matched, indices))
-                    .collect::<Vec<_>>()
-            };
-            for ((table, _), doomed) in delete.targets.iter().zip(doomed_sets) {
+            let doomed_sets = matched_rows(&delete.matched, &delete.projections, instance)?;
+            for (table, doomed) in delete.tables.iter().zip(doomed_sets) {
                 if !doomed.is_empty() {
                     journal.retain_rows(instance, table, |row| !doomed.contains(row));
                 }
@@ -1530,10 +1579,7 @@ pub(crate) fn exec_update_plan_journaled(
             Ok(next_uid)
         }
         UpdatePlan::UpdateAttr(update) => {
-            let affected = {
-                let matched = matched_rows(&update.join, &update.pred, instance)?;
-                project_rows(&matched, &update.projection)
-            };
+            let affected = matched_table_rows(update, instance)?;
             if !affected.is_empty() {
                 journal.update_cells(
                     instance,
@@ -1548,57 +1594,39 @@ pub(crate) fn exec_update_plan_journaled(
     }
 }
 
-/// Runs a compiled join and filter, returning the matching join rows. The
-/// interpreter's gating is preserved: predicate errors (including `IN`
-/// subquery errors) fire iff the joined input is non-empty.
-fn matched_rows<'i>(
-    join: &RowsPlan,
-    pred: &std::result::Result<FilterPred, Error>,
-    instance: &'i Instance,
-) -> Result<Vec<Cow<'i, [Value]>>> {
-    let rows = exec_rows_plan(join, instance)?;
-    if rows.is_empty() {
-        return Ok(Vec::new());
-    }
-    let pred = match pred {
-        Ok(pred) => pred,
-        Err(err) => return Err(err.clone()),
-    };
-    let instantiated;
-    let compiled = match pred {
-        FilterPred::Static(compiled) => compiled,
-        FilterPred::Dynamic(plan) => {
-            instantiated = instantiate_pred_plan(plan, instance)?;
-            &instantiated
+/// Runs the rows a join-driven statement matches through [`stream_rows`]
+/// and projects each onto every one of `projections`, deduplicating into
+/// the sets the interpreter's `BTreeSet<Tuple>` membership tests use. No
+/// sets at all if no row matches, which is what most executions in the
+/// bounded-testing walk find, so those allocate nothing.
+fn matched_rows(
+    matched: &RowsPlan,
+    projections: &[Vec<usize>],
+    instance: &Instance,
+) -> Result<Vec<BTreeSet<Tuple>>> {
+    let mut sets = Vec::new();
+    stream_rows(matched, instance, &mut RowBuffers::default(), &mut |row| {
+        if sets.is_empty() {
+            sets.resize_with(projections.len(), BTreeSet::new);
         }
-    };
-    let mut matched = Vec::new();
-    match rows {
-        Cow::Owned(rows) => {
-            for row in rows {
-                if eval_compiled(compiled, &row)? {
-                    matched.push(Cow::Owned(row));
-                }
-            }
+        for (set, indices) in sets.iter_mut().zip(projections) {
+            set.insert(indices.iter().map(|&i| row[i]).collect());
         }
-        Cow::Borrowed(rows) => {
-            for row in rows {
-                if eval_compiled(compiled, row)? {
-                    matched.push(Cow::Borrowed(row.as_slice()));
-                }
-            }
-        }
-    }
-    Ok(matched)
+        Ok(())
+    })
+    .map_err(Cow::into_owned)?;
+    Ok(sets)
 }
 
-/// Projects matched join rows onto a table's columns, deduplicating into the
-/// set the interpreter's `BTreeSet<Tuple>` membership tests use.
-fn project_rows(matched: &[Cow<'_, [Value]>], indices: &[usize]) -> BTreeSet<Tuple> {
-    matched
-        .iter()
-        .map(|row| indices.iter().map(|&i| row[i]).collect())
-        .collect()
+/// The rows of an attribute update's table that its join and predicate
+/// match.
+fn matched_table_rows(update: &UpdateAttrPlan, instance: &Instance) -> Result<BTreeSet<Tuple>> {
+    let mut sets = matched_rows(
+        &update.matched,
+        std::slice::from_ref(&update.projection),
+        instance,
+    )?;
+    Ok(sets.pop().unwrap_or_default())
 }
 
 fn eval_compiled(pred: &CompiledPred, row: &[Value]) -> Result<bool> {
@@ -2167,6 +2195,112 @@ mod tests {
         };
         assert_eq!(column("Car", 1), ["N", "B"]);
         assert_eq!(column("Part", 0), ["pn", "p3"]);
+    }
+
+    /// The streaming executor errs exactly when the interpreter does, and
+    /// otherwise returns the same multiset of rows, on the empty instance
+    /// and on a populated one with NULL join keys. A filter fails only once
+    /// a row reaches it, so on the empty instance nothing fails.
+    #[test]
+    fn streaming_executor_errs_when_the_interpreter_does() {
+        let schema = car_schema();
+        let mut populated = example_instance(&schema);
+        populated.insert(
+            &"Car".into(),
+            vec![Value::Null, Value::str("MN"), Value::Int(2019)],
+        );
+        populated.insert(
+            &"Part".into(),
+            vec![Value::str("bolt"), Value::Int(30), Value::Null],
+        );
+        let car = |attr: &str| QualifiedAttr::new("Car", attr);
+        let part = |attr: &str| QualifiedAttr::new("Part", attr);
+        let cmp = |lhs: QualifiedAttr, op: CmpOp, rhs: i64| Pred::CmpValue {
+            lhs,
+            op,
+            rhs: Value::Int(rhs).into(),
+        };
+        let cars = || Box::new(Query::Join(JoinChain::table("Car")));
+        let filter = |pred: Pred, input: Box<Query>| Query::Filter { pred, input };
+        // Each query, and whether it fails on the populated instance.
+        let queries = [
+            (
+                "mixed-type ordering",
+                Query::select(
+                    vec![car("cid")],
+                    cmp(car("model"), CmpOp::Lt, 5),
+                    JoinChain::table("Car"),
+                ),
+                true,
+            ),
+            (
+                "unknown parameter",
+                Query::select(
+                    vec![car("cid")],
+                    Pred::eq_value(car("cid"), Operand::param("missing")),
+                    JoinChain::table("Car"),
+                ),
+                true,
+            ),
+            (
+                "IN subquery",
+                Query::select(
+                    vec![part("name")],
+                    Pred::In {
+                        attr: part("cid"),
+                        query: Box::new(Query::select(
+                            vec![car("cid")],
+                            cmp(car("year"), CmpOp::Gt, 2017),
+                            JoinChain::table("Car"),
+                        )),
+                    },
+                    JoinChain::table("Part"),
+                ),
+                false,
+            ),
+            (
+                "filter over a join with NULL keys",
+                Query::select(
+                    vec![car("model"), part("name")],
+                    cmp(part("amount"), CmpOp::Ge, 20),
+                    car_part_join(),
+                ),
+                false,
+            ),
+            (
+                "filter over a filter",
+                filter(
+                    cmp(car("model"), CmpOp::Lt, 5),
+                    Box::new(filter(cmp(car("year"), CmpOp::Gt, 2017), cars())),
+                ),
+                true,
+            ),
+            (
+                "filter over a filter that keeps no row",
+                filter(
+                    cmp(car("model"), CmpOp::Lt, 5),
+                    Box::new(filter(cmp(car("year"), CmpOp::Gt, 3000), cars())),
+                ),
+                false,
+            ),
+        ];
+        let env = Env::new();
+        for (name, query, fails) in &queries {
+            for (instance, fails) in [
+                (Instance::empty(&schema), false),
+                (populated.clone(), *fails),
+            ] {
+                let interpreted = Evaluator::new(&schema).eval_query(query, &instance, &env);
+                let streamed = CompiledQuery::compile(&schema, query, &env)
+                    .and_then(|compiled| compiled.execute(&instance));
+                assert_eq!(interpreted.is_err(), fails, "{name}: {interpreted:?}");
+                assert_eq!(streamed.is_err(), fails, "{name}: {streamed:?}");
+                if let (Ok(relation), Ok(mut rows)) = (interpreted, streamed) {
+                    rows.sort();
+                    assert_eq!(rows, relation.canonical_rows(), "{name}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //!   states, oracle outcomes, speculation snapshots) keeps the shared rows
 //!   alive but can never observe a sibling's writes.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -39,9 +38,16 @@ pub type Tuple = Vec<Value>;
 ///
 /// Cloning is cheap (structural sharing — see the module docs); mutation
 /// copies only the touched table, and only when it is actually shared.
+///
+/// The tables are kept in name order, so iteration, `Display` and equality
+/// see them sorted by name. A table is found by its interned symbol, with
+/// no string comparison: bounded testing looks tables up at every query and
+/// update it runs, and an instance holds a handful of tables, so scanning
+/// them for an equal symbol costs less than a search that orders names.
+/// Only adding a table that is not there yet compares names.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Instance {
-    tables: BTreeMap<TableName, Arc<Vec<Tuple>>>,
+    tables: Vec<(TableName, Arc<Vec<Tuple>>)>,
 }
 
 /// Approximate heap bytes of one table's rows, exploiting that every row of
@@ -55,19 +61,36 @@ impl Instance {
     /// Creates the empty instance `ϵ` for the given schema: every table is
     /// present with zero tuples.
     pub fn empty(schema: &Schema) -> Instance {
-        let mut tables = BTreeMap::new();
-        for table in schema.tables() {
-            tables.insert(table.name, Arc::new(Vec::new()));
-        }
+        let mut tables: Vec<(TableName, Arc<Vec<Tuple>>)> = schema
+            .tables()
+            .iter()
+            .map(|table| (table.name, Arc::default()))
+            .collect();
+        tables.sort_by_key(|(name, _)| *name);
+        tables.dedup_by(|(a, _), (b, _)| a == b);
         Instance { tables }
+    }
+
+    /// The table named `table`, found by symbol, and added empty in its
+    /// place in name order if it is absent.
+    fn table_entry(&mut self, table: &TableName) -> &mut Arc<Vec<Tuple>> {
+        let index = match self.tables.iter().position(|(name, _)| name == table) {
+            Some(index) => index,
+            None => {
+                let index = self.tables.partition_point(|(name, _)| name < table);
+                self.tables.insert(index, (*table, Arc::default()));
+                index
+            }
+        };
+        &mut self.tables[index].1
     }
 
     /// The tuples currently stored in a table (empty if the table is absent).
     pub fn rows(&self, table: &TableName) -> &[Tuple] {
         self.tables
-            .get(table)
-            .map(|rows| rows.as_slice())
-            .unwrap_or(&[])
+            .iter()
+            .find(|(name, _)| name == table)
+            .map_or(&[], |(_, rows)| rows.as_slice())
     }
 
     /// Mutable access to a table's tuples, creating the table if needed.
@@ -76,7 +99,7 @@ impl Instance {
     /// another instance (a snapshot, a cached prefix state), they are copied
     /// first, so the sibling can never observe the mutation.
     pub fn rows_mut(&mut self, table: &TableName) -> &mut Vec<Tuple> {
-        Arc::make_mut(self.tables.entry(*table).or_default())
+        Arc::make_mut(self.table_entry(table))
     }
 
     /// Like [`Instance::rows_mut`], but also reports the bytes physically
@@ -84,7 +107,7 @@ impl Instance {
     /// were already uniquely owned). The bounded-testing engine uses this to
     /// account *actual* copy traffic instead of logical snapshot sizes.
     pub fn rows_mut_tracked(&mut self, table: &TableName) -> (&mut Vec<Tuple>, usize) {
-        let rows = self.tables.entry(*table).or_default();
+        let rows = self.table_entry(table);
         let copied = if Arc::strong_count(rows) > 1 {
             table_bytes(rows)
         } else {
@@ -98,7 +121,7 @@ impl Instance {
     /// `Database::to_instance`) to build tables without a push-per-row
     /// copy-on-write dance.
     pub fn set_rows(&mut self, table: &TableName, rows: Vec<Tuple>) {
-        self.tables.insert(*table, Arc::new(rows));
+        *self.table_entry(table) = Arc::new(rows);
     }
 
     /// Appends a tuple to a table.
@@ -108,7 +131,7 @@ impl Instance {
 
     /// Total number of tuples across all tables.
     pub fn total_rows(&self) -> usize {
-        self.tables.values().map(|rows| rows.len()).sum()
+        self.tables.iter().map(|(_, rows)| rows.len()).sum()
     }
 
     /// Returns `true` if no table holds any tuple.
@@ -144,7 +167,7 @@ impl Instance {
     pub fn heap_bytes_split(&self) -> (usize, usize) {
         let mut owned = std::mem::size_of::<Instance>();
         let mut shared = 0;
-        for rows in self.tables.values() {
+        for (_, rows) in &self.tables {
             let bytes = table_bytes(rows);
             if Arc::strong_count(rows) > 1 {
                 shared += bytes;
@@ -310,6 +333,25 @@ mod tests {
         instance.insert(&"Car".into(), vec![Value::Int(2), Value::str("M2")]);
         assert_eq!(instance.total_rows(), 2);
         assert_eq!(instance.rows(&"Car".into()).len(), 2);
+    }
+
+    /// Tables iterate, print and compare in name order, whatever order they
+    /// were added in.
+    #[test]
+    fn tables_keep_name_order_whatever_the_insertion_order() {
+        let mut backwards = Instance::default();
+        backwards.insert(&"Part".into(), vec![Value::str("tire"), Value::Int(1)]);
+        backwards.insert(&"Car".into(), vec![Value::Int(1), Value::str("M1")]);
+        let mut forwards = Instance::empty(&schema());
+        forwards.insert(&"Car".into(), vec![Value::Int(1), Value::str("M1")]);
+        forwards.insert(&"Part".into(), vec![Value::str("tire"), Value::Int(1)]);
+        let names = |instance: &Instance| -> Vec<&str> {
+            instance.iter().map(|(name, _)| name.as_str()).collect()
+        };
+        assert_eq!(names(&backwards), ["Car", "Part"]);
+        assert_eq!(backwards, forwards);
+        assert_eq!(backwards.to_string(), forwards.to_string());
+        assert!(backwards.to_string().starts_with("Car: 1 row(s)"));
     }
 
     #[test]

@@ -13,9 +13,9 @@ use crate::value::DataType;
 /// A lightweight newtype so table and attribute names cannot be confused
 /// with each other or with arbitrary strings. The payload is interned (see
 /// [`crate::intern`]), which makes `TableName` a `Copy` type: instance
-/// snapshots copy their `BTreeMap<TableName, _>` keys at every node of the
-/// bounded-testing search tree, and with an interned name that copy is a
-/// `u32` instead of a heap-allocated `String` clone.
+/// snapshots copy their table names at every node of the bounded-testing
+/// search tree, and with an interned name that copy is a `u32` instead of a
+/// heap-allocated `String` clone, and finding a table compares symbols.
 ///
 /// Like [`Value`](crate::value::Value), ordering is implemented manually so
 /// names compare by *content*, not by interner symbol number — `Instance`

@@ -12,7 +12,7 @@ use dbir::ast::{
 };
 use dbir::equiv::{compare_programs, compare_programs_naive, SourceOracle, TestConfig};
 use dbir::equiv::{compare_with_oracle, CheckProfile, EquivalenceReport, PrefixCache};
-use dbir::eval::{bind_args, CompiledUpdate, Journal};
+use dbir::eval::{bind_args, CompiledQuery, CompiledUpdate, Journal};
 use dbir::schema::{QualifiedAttr, Schema};
 use dbir::value::{DataType, Value};
 use dbir::Instance;
@@ -55,6 +55,14 @@ struct ProgramShape {
     /// an update tree with `getUser`'s whenever their relevance closures
     /// agree, and `getDoc`'s plan lies between the two.
     named: u8,
+    /// A `User ⋈ Tag` query on `uid = owner`, `getTagged(uid)`, declared
+    /// last: 0 → none, 1 → `User` on the left, 2 → `Tag` on the left. The
+    /// two orders return the same multiset, in different row orders once
+    /// two users and two tags cross.
+    tagged: u8,
+    /// Include `addOrphanTag(label)`, which inserts a `Tag` whose `owner`
+    /// is NULL: a join key that matches nothing, on either side.
+    with_orphan_tag: bool,
 }
 
 fn build_program(shape: &ProgramShape) -> Program {
@@ -177,18 +185,72 @@ fn build_program(shape: &ProgramShape) -> Program {
             ),
         ));
     }
+    if shape.with_orphan_tag {
+        functions.push(Function::update(
+            "addOrphanTag",
+            vec![Param::new("label", DataType::String)],
+            Update::Insert {
+                join: JoinChain::table("Tag"),
+                values: vec![
+                    (QualifiedAttr::new("Tag", "label"), Operand::param("label")),
+                    (
+                        QualifiedAttr::new("Tag", "owner"),
+                        Operand::Value(Value::Null),
+                    ),
+                ],
+            },
+        ));
+    }
+    match shape.tagged % 3 {
+        0 => {}
+        tagged => functions.push(tagged_query(tagged == 2)),
+    }
     Program::new(functions)
+}
+
+/// `getTagged(uid)`: each of the user's names with each label of the tags
+/// the user owns, over `User ⋈ Tag` (`uid = owner`), or over `Tag ⋈ User`
+/// if `tag_first`.
+fn tagged_query(tag_first: bool) -> Function {
+    let (user, tag) = (JoinChain::table("User"), JoinChain::table("Tag"));
+    let (uid, owner) = (
+        QualifiedAttr::new("User", "uid"),
+        QualifiedAttr::new("Tag", "owner"),
+    );
+    let join = if tag_first {
+        tag.join(user, owner, uid)
+    } else {
+        user.join(tag, uid, owner)
+    };
+    Function::query(
+        "getTagged",
+        vec![Param::new("uid", DataType::Int)],
+        Query::select(
+            vec![
+                QualifiedAttr::new("User", "name"),
+                QualifiedAttr::new("Tag", "label"),
+            ],
+            Pred::eq_value(QualifiedAttr::new("User", "uid"), Operand::param("uid")),
+            join,
+        ),
+    )
 }
 
 fn shape_strategy() -> impl Strategy<Value = ProgramShape> {
     (
-        (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
-        (0u8..3, 0u8..5, 0u8..3),
+        (
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+        ),
+        (0u8..3, 0u8..5, 0u8..3, 0u8..3),
     )
         .prop_map(
             |(
-                (honest_insert, with_delete, with_tag_update, with_docs),
-                (projection, predicate, named),
+                (honest_insert, with_delete, with_tag_update, with_docs, with_orphan_tag),
+                (projection, predicate, named, tagged),
             )| {
                 ProgramShape {
                     honest_insert,
@@ -198,6 +260,8 @@ fn shape_strategy() -> impl Strategy<Value = ProgramShape> {
                     projection,
                     predicate,
                     named,
+                    tagged,
+                    with_orphan_tag,
                 }
             },
         )
@@ -438,6 +502,8 @@ fn parallel_walk_matches_naive_reference() {
         projection: 0,
         predicate: 0,
         named: 1,
+        tagged: 0,
+        with_orphan_tag: false,
     };
     let unclustered = TestConfig {
         max_updates: 3,
@@ -575,6 +641,8 @@ fn shared_cache_stream_is_thread_count_invariant() {
         projection: 0,
         predicate: 0,
         named: 1,
+        tagged: 0,
+        with_orphan_tag: false,
     };
     let source = build_program(&shape);
     // Two wrong candidates, the right one, then the first wrong one again
@@ -700,6 +768,64 @@ proptest! {
         // Restore the default for the other tests in this binary.
         parpool::set_thread_limit(0);
     }
+}
+
+/// The two join orders of `getTagged` return the same multiset in
+/// different row orders once two users and two tags cross, so programs
+/// that differ only in join order are equivalent. The walk's leaves compare
+/// rows in the order they came out and sort them only if that differs; the
+/// naive reference compares sorted outcomes. Four update calls are enough
+/// for the orders to cross, and the orphan tag's NULL owner joins nothing
+/// in either order.
+#[test]
+fn join_order_changes_row_order_not_the_multiset() {
+    let schema = schema();
+    let shape = |tagged| ProgramShape {
+        honest_insert: true,
+        with_delete: false,
+        with_tag_update: true,
+        with_docs: false,
+        projection: 0,
+        predicate: 0,
+        named: 0,
+        tagged,
+        with_orphan_tag: true,
+    };
+    let (user_first, tag_first) = (build_program(&shape(1)), build_program(&shape(2)));
+
+    let mut instance = Instance::empty(&schema);
+    for name in ["A", "B"] {
+        instance.insert(&"User".into(), vec![Value::Int(0), Value::str(name)]);
+    }
+    for label in ["x", "y"] {
+        instance.insert(&"Tag".into(), vec![Value::str(label), Value::Int(0)]);
+    }
+    instance.insert(&"Tag".into(), vec![Value::str("z"), Value::Null]);
+    let rows = |program: &Program| {
+        let function = program.function("getTagged").expect("declared");
+        let FunctionBody::Query(query) = &function.body else {
+            unreachable!("a query");
+        };
+        let env = bind_args(function, &[Value::Int(0)]).expect("binds");
+        let compiled = CompiledQuery::compile(&schema, query, &env).expect("compiles");
+        compiled.execute(&instance).expect("runs")
+    };
+    let (mut by_user, mut by_tag) = (rows(&user_first), rows(&tag_first));
+    assert_ne!(by_user, by_tag, "the join orders emit different row orders");
+    by_user.sort();
+    by_tag.sort();
+    assert_eq!(by_user, by_tag);
+    assert_eq!(by_user.len(), 4, "the orphan tag joins nothing");
+
+    let config = TestConfig {
+        max_updates: 4,
+        max_arg_combinations: Some(2),
+        ..TestConfig::default()
+    };
+    let naive = compare_programs_naive(&user_first, &schema, &tag_first, &schema, &config);
+    assert!(naive.equivalent, "{naive:?}");
+    let fast = compare_programs(&user_first, &schema, &tag_first, &schema, &config);
+    assert_eq!(fast, naive);
 }
 
 /// Copy-on-write aliasing: mutating one clone never perturbs its siblings,

@@ -112,10 +112,14 @@ impl JobSpec {
             spec.config = name.to_string();
         }
         if let Some(value) = json.get("max_value_correspondences") {
-            let cap = value.as_i128().filter(|v| *v > 0).ok_or_else(|| {
-                "field `max_value_correspondences` must be a positive integer".to_string()
-            })?;
-            spec.max_value_correspondences = Some(cap as usize);
+            let cap = value
+                .as_i128()
+                .filter(|v| *v > 0)
+                .and_then(|v| usize::try_from(v).ok())
+                .ok_or_else(|| {
+                    "field `max_value_correspondences` must be a positive integer".to_string()
+                })?;
+            spec.max_value_correspondences = Some(cap);
         }
         if let Some(value) = json.get("budget_secs") {
             let budget = value
@@ -349,6 +353,14 @@ mod tests {
         assert!(JobSpec::from_json(&bad_backend)
             .unwrap_err()
             .contains("backend"));
+        // Caps past `usize::MAX` are rejected, not wrapped: 2⁶⁴ would read
+        // as 0 (no cap at all) and 2⁶⁴ + 1 as a cap of 1.
+        for cap in [1u128 << 64, (1u128 << 64) + 1] {
+            let too_big = base().with("max_value_correspondences", Json::from(cap));
+            assert!(JobSpec::from_json(&too_big)
+                .unwrap_err()
+                .contains("max_value_correspondences"));
+        }
     }
 
     #[test]

@@ -504,7 +504,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
             .get("id")
             .and_then(Json::as_i128)
             .filter(|id| *id >= 1)
-            .map(|id| id as u64)
+            .and_then(|id| u64::try_from(id).ok())
             .ok_or_else(|| error_reply("missing or invalid `id`"))
     };
     match cmd {

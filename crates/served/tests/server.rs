@@ -523,3 +523,32 @@ fn protocol_rejects_malformed_requests() {
     server.shutdown(ShutdownMode::Cancel);
     server.wait();
 }
+
+/// An `id` past `u64::MAX` is invalid, not wrapped: 2⁶⁴ + 1 must not
+/// address job 1, so no command can read or cancel a job it does not name.
+#[test]
+fn ids_past_u64_are_rejected_not_wrapped() {
+    let server = Server::start(ServerConfig::default()).expect("server starts");
+    let addr = server.addr().to_string();
+    let mut spec = rename_spec();
+    spec.validate = false;
+    let id = submit(&addr, &spec).expect("submit");
+    assert_eq!(id, 1);
+    wait_done(&addr, id).expect("job 1 finishes");
+
+    let wrapped = (1u128 << 64) + 1;
+    for cmd in ["status", "cancel", "result", "watch"] {
+        let reply = request(
+            &addr,
+            &Json::object()
+                .with("cmd", Json::str(cmd))
+                .with("id", Json::from(wrapped)),
+        );
+        let error = reply.expect_err(cmd);
+        assert!(error.contains("missing or invalid `id`"), "{cmd}: {error}");
+    }
+    assert_eq!(status_of(&addr, 1), "done");
+
+    server.shutdown(ShutdownMode::Drain);
+    server.wait();
+}
